@@ -13,7 +13,6 @@ from .percolation import (
 )
 from .spectra import (
     SpectralSummary,
-    average_moments,
     counting_function,
     eigenvalue_summary,
     empirical_moment,
@@ -22,16 +21,11 @@ from .spectra import (
     neg_log_zeta_density,
 )
 from .moments import (
-    adjacency_moment,
-    adjacency_weight,
+    adjacency_moments,
     catalan_moment,
-    dense_moment,
-    dense_tree_weight,
     extended_binomial,
     first_edge_weight,
-    limit_moment,
     limit_moments,
-    tree_weight,
     tree_weight_split,
     weighted_adjacency_sum,
 )

@@ -63,8 +63,9 @@ def save_config(config: ExperimentConfig, path) -> None:
             fh.write(f"{f.name}={_fmt(value) if isinstance(value, float) else value}\n")
 
 
-def load_config(path) -> ExperimentConfig:
-    kwargs = {}
+def _read_config(path) -> dict:
+    """The typed key=value pairs a config file sets, unvalidated."""
+    items = {}
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
@@ -76,13 +77,12 @@ def load_config(path) -> ExperimentConfig:
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
             caster = {"int": int, "float": float, "str": str}[_CONFIG_FIELDS[key]]
-            kwargs[key] = caster(raw)
-    return ExperimentConfig(**kwargs)
+            items[key] = caster(raw)
+    return items
 
 
-def _config_dict_from_file(path) -> dict:
-    cfg = load_config(path)
-    return dataclasses.asdict(cfg)
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig(**_read_config(path))
 
 
 def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
@@ -128,11 +128,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    # precedence: flags > config file > ZS_SEED > defaults
     base = dataclasses.asdict(ExperimentConfig())
-    if args.config:
-        base.update(_config_dict_from_file(args.config))
-    if getattr(args, "seed", None) is None and os.environ.get("ZS_SEED"):
+    if os.environ.get("ZS_SEED"):
         base["seed"] = int(os.environ["ZS_SEED"])
+    if args.config:
+        base.update(_read_config(args.config))
     for key in base:
         value = getattr(args, key, None)
         if value is not None:
@@ -206,16 +207,14 @@ def _cmd_moments(args) -> int:
         _emit(json.dumps(payload, indent=1) + "\n", cfg.out, args)
         return 0
     if args.theory:
-        rows = []
-        for k in range(0, cfg.k_max + 1):
-            rows.append(
-                (
-                    k,
-                    moments.limit_moment(k, cfg.v, profile.phi1),
-                    moments.adjacency_moment(k, cfg.v, profile.phi1),
-                    moments.dense_moment(k, cfg.v),
-                )
+        rows = list(
+            zip(
+                range(cfg.k_max + 1),
+                moments.limit_moments(cfg.k_max, cfg.v, profile.phi1),
+                moments.adjacency_moments(cfg.k_max, cfg.v, profile.phi1),
+                moments.dense_moments(cfg.k_max, cfg.v),
             )
+        )
         if cfg.fmt == "json":
             text = json.dumps(
                 [dict(zip(("k", "m_k", "ell_k", "mu_k"), row)) for row in rows]

@@ -12,7 +12,6 @@ __all__ = [
     "random_connected_graph",
     "from_edges",
     "read_edge_list",
-    "write_edge_list_array",
     "is_connected",
     "zeta_corpus",
 ]
@@ -86,13 +85,6 @@ def read_edge_list(path) -> np.ndarray:
     labels = sorted({x for pair in pairs for x in pair})
     index = {lab: i for i, lab in enumerate(labels)}
     return from_edges(len(labels), [(index[a], index[b]) for a, b in pairs])
-
-
-def write_edge_list_array(adj: np.ndarray, path) -> None:
-    rows, cols = np.nonzero(np.triu(adj, k=1))
-    with open(path, "w", encoding="ascii") as fh:
-        for a, b in zip(rows, cols):
-            fh.write(f"{int(a)} {int(b)}\n")
 
 
 def zeta_corpus() -> list[tuple[str, np.ndarray]]:

@@ -1,18 +1,20 @@
 """Exact limiting-moment recurrences for the percolation spectral ensemble.
 
 Everything here is closed-form combinatorics in the two parameters
-(v, phi1): no sampling, no linear algebra.  The central objects are
+(v, phi1): no sampling, no linear algebra.  Each quantity is built as one
+table up to a maximal order; lower orders are prefixes of it.
 
-* tree_weight(k, r): total weight of tree-type closed walks of k steps
-  with r steps leaving the root; the limiting spectral moment is
-  m_k = sum_r tree_weight(k, r).
-* adjacency_weight(p, r): the analogous array for the normalized adjacency
-  matrix alone, whose even moments are L_p = sum_r adjacency_weight(p, r).
+* tree_weight_table(k_max): T[k][r], the total weight of tree-type closed
+  walks of k steps with r steps leaving the root; the limiting spectral
+  moment is m_k = sum_r T[k][r] (limit_moments).
+* adjacency_weight_table(p_max): the analogous array for the normalized
+  adjacency matrix alone, whose even moments are L_p = sum_r A[p][r]
+  (adjacency_moments).
 * dense limits: as phi1 -> infinity the arrays collapse to the moments of a
-  semicircle distribution shifted by v^2 (dense_moment, catalan_moment).
+  semicircle distribution shifted by v^2 (dense_moments, catalan_moment).
 
 Two independent routes compute the tree weights: the flattened five-fold
-recurrence (tree_weight) and its factored form through the first-edge
+recurrence (tree_weight_table) and its factored form through the first-edge
 decomposition (tree_weight_split).  They must agree to rounding error; the
 brute-force enumeration oracle lives in the walks module.
 """
@@ -27,18 +29,13 @@ __all__ = [
     "extended_binomial_other_hits",
     "reset_extended_binomial_counter",
     "tree_weight_table",
-    "tree_weight",
     "first_edge_weight",
     "tree_weight_split",
-    "limit_moment",
     "limit_moments",
     "adjacency_weight_table",
-    "adjacency_weight",
-    "adjacency_moment",
+    "adjacency_moments",
     "dense_moments",
-    "dense_moment",
     "dense_tree_weight_table",
-    "dense_tree_weight",
     "catalan_moment",
     "weighted_adjacency_sum",
     "BoundReport",
@@ -131,13 +128,6 @@ def tree_weight_table(k_max: int, v: float, phi1: float) -> list[list[float]]:
     return table
 
 
-def tree_weight(k: int, r: int, v: float, phi1: float) -> float:
-    """Total weight of k-step tree-type walks with r root exits."""
-    if r < 0 or r > k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
-    return tree_weight_table(k, v, phi1)[k][r]
-
-
 def first_edge_weight(ks: int, g: int, v: float, phi1: float) -> float:
     """Weight of walks confined to a single root edge with g root exits.
 
@@ -169,26 +159,26 @@ def _first_edge_weight_from(table, ks: int, g: int, v: float, phi1: float) -> fl
     return total
 
 
-def tree_weight_split(k: int, r: int, v: float, phi1: float) -> float:
-    """Tree walk weights by the two-stage route: first-edge decomposition
-    composed with the single-edge weights.  Must equal tree_weight exactly
-    up to float rounding; kept as an independent code path."""
+def tree_weight_split(k_max: int, v: float, phi1: float) -> list[list[float]]:
+    """Tree walk weight table by the two-stage route: first-edge decomposition
+    composed with the single-edge weights.  Must equal tree_weight_table
+    exactly up to float rounding; kept as an independent code path."""
     _check_params(phi1)
-    if r < 0 or r > k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
-    table = [[0.0] * (kk + 1) for kk in range(k + 1)]
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    table = [[0.0] * (k + 1) for k in range(k_max + 1)]
     table[0][0] = 1.0
-    for kk in range(1, k + 1):
-        for rr in range(1, kk + 1):
+    for k in range(1, k_max + 1):
+        for r in range(1, k + 1):
             total = 0.0
-            for g in range(1, rr + 1):
-                for s in range(rr - g, kk - g + 1):
-                    outer = extended_binomial(rr - 1, g - 1) * table[s][rr - g]
+            for g in range(1, r + 1):
+                for s in range(r - g, k - g + 1):
+                    outer = extended_binomial(r - 1, g - 1) * table[s][r - g]
                     if outer == 0.0:
                         continue
-                    total += outer * _first_edge_weight_from(table, kk - s, g, v, phi1)
-            table[kk][rr] = total
-    return table[k][r]
+                    total += outer * _first_edge_weight_from(table, k - s, g, v, phi1)
+            table[k][r] = total
+    return table
 
 
 def limit_moments(k_max: int, v: float, phi1: float) -> list[float]:
@@ -198,12 +188,6 @@ def limit_moments(k_max: int, v: float, phi1: float) -> list[float]:
     for k in range(1, k_max + 1):
         out.append(sum(table[k][r] for r in range(1, k + 1)))
     return out
-
-
-def limit_moment(k: int, v: float, phi1: float) -> float:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return limit_moments(k, v, phi1)[k]
 
 
 def adjacency_weight_table(p_max: int, v: float, phi1: float) -> list[list[float]]:
@@ -231,24 +215,16 @@ def adjacency_weight_table(p_max: int, v: float, phi1: float) -> list[list[float
     return table
 
 
-def adjacency_weight(p: int, r: int, v: float, phi1: float) -> float:
-    if r < 0 or r > p:
-        raise ValueError(f"need 0 <= r <= p, got r={r}, p={p}")
-    return adjacency_weight_table(p, v, phi1)[p][r]
-
-
-def adjacency_moment(k: int, v: float, phi1: float) -> float:
-    """Moment of order k of the normalized adjacency matrix in the limit:
+def adjacency_moments(k_max: int, v: float, phi1: float) -> list[float]:
+    """Limiting moments ell_0..ell_k_max of the normalized adjacency matrix:
     zero for odd k, the Catalan-like sum L_p for k = 2p."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1.0
-    if k % 2 == 1:
-        return 0.0
-    p = k // 2
-    table = adjacency_weight_table(p, v, phi1)
-    return sum(table[p][r] for r in range(1, p + 1))
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    table = adjacency_weight_table(k_max // 2, v, phi1)
+    out = [1.0]
+    for k in range(1, k_max + 1):
+        out.append(0.0 if k % 2 else sum(table[k // 2][r] for r in range(1, k // 2 + 1)))
+    return out
 
 
 def dense_moments(k_max: int, v: float) -> list[float]:
@@ -264,10 +240,6 @@ def dense_moments(k_max: int, v: float) -> list[float]:
         conv = sum(mu[j] * mu[k - j - 2] for j in range(0, k - 1))
         mu.append(v2 * mu[k - 1] + v2 * conv)
     return mu
-
-
-def dense_moment(k: int, v: float) -> float:
-    return dense_moments(k, v)[k]
 
 
 def dense_tree_weight_table(k_max: int, v: float) -> list[list[float]]:
@@ -290,12 +262,6 @@ def dense_tree_weight_table(k_max: int, v: float) -> list[list[float]]:
     return table
 
 
-def dense_tree_weight(k: int, r: int, v: float) -> float:
-    if r < 0 or r > k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
-    return dense_tree_weight_table(k, v)[k][r]
-
-
 def catalan_moment(p: int, v: float) -> float:
     """Even moment of the Wigner semicircle law: v^(2p) (2p)!/(p!(p+1)!)."""
     if p < 0:
@@ -305,7 +271,7 @@ def catalan_moment(p: int, v: float) -> float:
 
 def weighted_adjacency_sum(i: int, p: int, v: float, phi1: float) -> float:
     """Adjacency weights summed with rising-factorial coefficients:
-    sum_r [(r+1)(r+2)...(r+i-1)/(i-1)!] * adjacency_weight(p, r).
+    sum_r [(r+1)(r+2)...(r+i-1)/(i-1)!] * A[p][r] over adjacency_weight_table.
 
     Order i = 1 has unit weight and reproduces the adjacency moment L_p.
     """
@@ -345,7 +311,7 @@ class BoundReport:
 
 
 def adjacency_bound_report(p_max: int, constant: float, v: float, phi1: float) -> BoundReport:
-    """Check max_r adjacency_weight(p, r) <= (C v^2)^p p^(2p) for p <= p_max.
+    """Check max_r A[p][r] <= (C v^2)^p p^(2p) for p <= p_max.
 
     Admissibility requires C >= 1 and C*phi1 >= 1.
     """
@@ -387,7 +353,7 @@ def admissible_constant(v: float, phi1: float, tol: float = 1e-12) -> float:
 
 
 def tree_bound_report(k_max: int, constant: float, v: float, phi1: float) -> BoundReport:
-    """Check max_r tree_weight(k, r) <= (C v^2 k)^k for k <= k_max, and the
+    """Check max_r T[k][r] <= (C v^2 k)^k for k <= k_max, and the
     corollary m_k <= (C v^2)^k k^(k+1) on the summed moments."""
     lhs1, lhs2 = _tree_bound_inequalities(constant, v, phi1)
     if lhs1 > 1.0 or lhs2 > 1.0:

@@ -28,8 +28,6 @@ __all__ = [
     "build_h",
     "circuit_rank_term",
     "format_edge_list",
-    "write_edge_list",
-    "write_dense_csv",
 ]
 
 
@@ -192,12 +190,3 @@ def format_edge_list(sample: AdjacencySample) -> str:
     lines = [f"{x} {y}" for x, y in sample.iter_edges()]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def write_edge_list(sample: AdjacencySample, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(sample))
-
-
-def write_dense_csv(sample: AdjacencySample, path) -> None:
-    """Dense 0/1 matrix, one row per line, comma separated."""
-    np.savetxt(path, sample.entries, fmt="%d", delimiter=",")

@@ -23,8 +23,6 @@ __all__ = [
     "eigenvalue_summary",
     "counting_function",
     "empirical_moment",
-    "MomentRow",
-    "average_moments",
     "log_det_density",
     "log_prefactor_density",
     "neg_log_zeta_density",
@@ -53,9 +51,6 @@ class SpectralSummary:
     @property
     def size(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def params_key(self):
-        return (self.size, self.v, self.phi1, self.n, self.radius)
 
 
 def eigenvalue_summary(
@@ -101,34 +96,6 @@ def empirical_moment(summary: SpectralSummary, k: int) -> float:
     if k == 0:
         return 1.0
     return float(np.mean(summary.eigenvalues**k))
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    k: int
-    mean: float
-    stderr: float
-
-
-def average_moments(summaries: list[SpectralSummary], k_max: int) -> list[MomentRow]:
-    """Sample mean and standard error of the spectral moments over trials."""
-    if len(summaries) < 2:
-        raise ValueError("need at least two trials to average")
-    key = summaries[0].params_key()
-    for s in summaries[1:]:
-        if s.params_key() != key:
-            raise ValueError("trials have mismatched parameters")
-    rows = []
-    for k in range(0, k_max + 1):
-        vals = np.array([empirical_moment(s, k) for s in summaries])
-        rows.append(
-            MomentRow(
-                k=k,
-                mean=float(vals.mean()),
-                stderr=float(vals.std(ddof=1) / math.sqrt(len(vals))),
-            )
-        )
-    return rows
 
 
 def log_det_density(summary: SpectralSummary) -> float:

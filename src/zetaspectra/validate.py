@@ -1,4 +1,5 @@
-"""Cross-module validation suite behind the `validate` CLI command.
+"""Cross-module validation suite behind the `validate` CLI command and the
+exact acceptance criteria (tests/test_acceptance.py calls these checks).
 
 Each check pairs two independent routes to the same quantity (enumeration
 against recurrence, exact series against determinant, recurrence against
@@ -31,8 +32,20 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def _rel_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def _gap(value: float, reference: float) -> float:
+    """Relative gap of value against its reference route; a zeroed
+    reference (a broken route) gives a huge gap instead of raising."""
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+def _worst_table_gap(values, references) -> float:
+    """Largest relative gap over the entries k >= 1, 1 <= r <= k of two
+    triangular tables."""
+    return max(
+        _gap(values[k][r], references[k][r])
+        for k in range(1, len(references))
+        for r in range(1, k + 1)
+    )
 
 
 def check_binomial_domain() -> CheckResult:
@@ -44,7 +57,7 @@ def check_binomial_domain() -> CheckResult:
     )
     # exercise the recurrences, then confirm no out-of-pattern call happened
     moments.limit_moments(8, 1.0, 1.0)
-    moments.adjacency_moment(12, 1.0, 1.0)
+    moments.adjacency_moments(12, 1.0, 1.0)
     hits = moments.extended_binomial_other_hits()
     return CheckResult(
         "extended-binomial-domain",
@@ -53,14 +66,15 @@ def check_binomial_domain() -> CheckResult:
     )
 
 
-def check_oracle_vs_recurrence(k_max: int = 6) -> CheckResult:
+def check_oracle_vs_recurrence(k_max: int = 8) -> CheckResult:
     worst = 0.0
-    for v, phi1 in ((0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (1.0, 10.0)):
+    for v, phi1 in VALIDATION_GRID:
         table = moments.tree_weight_table(k_max, v, phi1)
-        for k in range(1, k_max + 1):
-            for r in range(1, k + 1):
-                oracle = walks.oracle_tree_weight(k, r, v, phi1)
-                worst = max(worst, _rel_gap(oracle, table[k][r]))
+        oracle = [
+            [walks.oracle_tree_weight(k, r, v, phi1) for r in range(k + 1)]
+            for k in range(k_max + 1)
+        ]
+        worst = max(worst, _worst_table_gap(oracle, table))
     return CheckResult(
         "walk-oracle-vs-recurrence", worst <= 1e-9, f"worst relative gap {worst:.3e}"
     )
@@ -68,12 +82,10 @@ def check_oracle_vs_recurrence(k_max: int = 6) -> CheckResult:
 
 def check_route_equivalence(k_max: int = 10) -> CheckResult:
     worst = 0.0
-    for v, phi1 in ((0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 10.0)):
+    for v, phi1 in VALIDATION_GRID:
         table = moments.tree_weight_table(k_max, v, phi1)
-        for k in range(1, k_max + 1):
-            for r in range(1, k + 1):
-                split = moments.tree_weight_split(k, r, v, phi1)
-                worst = max(worst, _rel_gap(split, table[k][r]))
+        split = moments.tree_weight_split(k_max, v, phi1)
+        worst = max(worst, _worst_table_gap(split, table))
     return CheckResult(
         "recurrence-route-equivalence", worst <= 1e-12, f"worst relative gap {worst:.3e}"
     )
@@ -85,14 +97,9 @@ def check_dense_limits(k_max: int = 10) -> CheckResult:
         m_inf = moments.limit_moments(k_max, v, 1e8)
         mu = moments.dense_moments(k_max, v)
         for k in range(1, k_max + 1):
-            worst = max(worst, _rel_gap(m_inf[k], mu[k]))
-        for k in range(1, k_max + 1):
-            for r in range(1, k + 1):
-                worst = max(
-                    worst,
-                    abs(moments.tree_weight(k, r, v, 1e8) - moments.dense_tree_weight(k, r, v))
-                    / max(moments.dense_tree_weight(k, r, v), 1e-300),
-                )
+            worst = max(worst, _gap(m_inf[k], mu[k]))
+        table = moments.tree_weight_table(k_max, v, 1e8)
+        worst = max(worst, _worst_table_gap(table, moments.dense_tree_weight_table(k_max, v)))
     return CheckResult("dense-degree-limit", worst <= 1e-6, f"worst relative gap {worst:.3e}")
 
 
@@ -100,10 +107,10 @@ def check_adjacency_limits(p_max: int = 6) -> CheckResult:
     worst = 0.0
     odd_ok = True
     for v in (0.5, 1.0, 2.0):
+        ell = moments.adjacency_moments(2 * p_max, v, 1e8)
         for p in range(1, p_max + 1):
-            ell = moments.adjacency_moment(2 * p, v, 1e8)
-            worst = max(worst, _rel_gap(ell, moments.catalan_moment(p, v)))
-            odd_ok = odd_ok and moments.adjacency_moment(2 * p - 1, v, 1e8) == 0.0
+            worst = max(worst, _gap(ell[2 * p], moments.catalan_moment(p, v)))
+            odd_ok = odd_ok and ell[2 * p - 1] == 0.0
     return CheckResult(
         "adjacency-catalan-limit",
         worst <= 1e-6 and odd_ok,
@@ -116,7 +123,7 @@ def check_dense_moment_quadrature(k_max: int = 12) -> CheckResult:
     for v in (0.5, 1.0, 2.0):
         mu = moments.dense_moments(k_max, v)
         for k in range(0, k_max + 1):
-            worst = max(worst, _rel_gap(limits.semicircle_moment(k, v), mu[k]))
+            worst = max(worst, _gap(limits.semicircle_moment(k, v), mu[k]))
     return CheckResult(
         "semicircle-moment-quadrature", worst <= 1e-8, f"worst relative gap {worst:.3e}"
     )
@@ -135,7 +142,7 @@ def check_weighted_sum_identity(p_max: int = 6) -> CheckResult:
                     for j in range(0, p - g + 1)
                 )
                 rhs += v ** (2 * g) / phi1 ** (g - 1) * conv
-            worst = max(worst, _rel_gap(lhs, rhs))
+            worst = max(worst, _gap(rhs, lhs))
     return CheckResult(
         "weighted-adjacency-identity", worst <= 1e-9, f"worst relative gap {worst:.3e}"
     )
@@ -211,7 +218,7 @@ def check_limit_functions() -> CheckResult:
         other = v * v / 2.0 - limits.semicircle_log_integral(v)
         worst = max(worst, abs(f - other))
     resid = 0.0
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(3)
     for _ in range(100):
         z = complex(rng.uniform(-6, 6), rng.uniform(1e-3, 6))
         g = limits.stieltjes_transform(z, 1.0)

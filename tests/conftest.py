@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zetaspectra.percolation import Profile
+from zetaspectra.validate import VALIDATION_GRID
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +18,7 @@ def exp_profile():
 @pytest.fixture(scope="session")
 def param_grid():
     """(v, phi1) grid used by the cross-module equivalence checks."""
-    return [(v, p) for v in (0.5, 1.0, 2.0) for p in (0.5, 1.0, 2.0, 10.0)]
+    return VALIDATION_GRID
 
 
 @pytest.fixture

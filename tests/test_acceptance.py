@@ -1,8 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-The Monte Carlo criteria (6 and 7) share one ensemble run at N = 2001 and
-one size sweep; both are module-scoped fixtures.  Expected wall time for
-the whole module is around ten minutes, dominated by the eigensolves.
+Criteria 1-5 and 8-11 take their verdict and detail from the `validate`
+checks, the same functions behind `zetaspectra validate`.  The Monte Carlo
+criteria (6 and 7) share one ensemble run at N = 2001 and one size sweep;
+both are module-scoped fixtures and dominate the module's wall time
+(minutes, all in the eigensolves), so they carry the `slow` marker.
 
 Tolerance note for criteria 6 and 7: the empirical mean at finite (N, R)
 carries a systematic finite-size offset that is deterministic and an order
@@ -13,32 +15,14 @@ output still reports the standard error of the mean.
 """
 
 import math
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from zetaspectra import cli, moments, zeta
-from zetaspectra.graphs import cycle_graph, zeta_corpus
-from zetaspectra.limits import (
-    log_zeta_limit,
-    semicircle_log_integral,
-    semicircle_moment,
-    stieltjes_transform,
-)
+from zetaspectra import cli, moments, validate, zeta
+from zetaspectra.graphs import cycle_graph
 from zetaspectra.montecarlo import convergence_sweep, run_ensemble
-from zetaspectra.percolation import Profile, build_h
-from zetaspectra.spectra import eigenvalue_summary, neg_log_zeta_density
-from zetaspectra.validate import stieltjes_tail_within_bound
-from zetaspectra.walks import oracle_tree_weight
-from zetaspectra.zeta import (
-    ihara_det_reciprocal,
-    series_consistency,
-    zeta_reciprocal_polynomial,
-)
-
-GRID = [(v, p) for v in (0.5, 1.0, 2.0) for p in (0.5, 1.0, 2.0, 10.0)]
-V_VALUES = (0.5, 1.0, 2.0)
+from zetaspectra.percolation import Profile
+from zetaspectra.zeta import zeta_reciprocal_polynomial
 
 ACC_PROFILE = Profile.from_name("gauss", 0.5)
 ACC_V = 1.0
@@ -47,6 +31,14 @@ ACC_SEED = 20260810
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+
+
+def report_checks(num: int, name: str, *checks) -> bool:
+    """Run validate checks as one criterion; its verdict is theirs."""
+    results = [check() for check in checks]
+    ok = all(r.passed for r in results)
+    report(num, name, ok, "; ".join(f"{r.name}: {r.detail}" for r in results))
+    return ok
 
 
 @pytest.fixture(scope="module")
@@ -74,75 +66,33 @@ def mc_sweep():
 
 
 def test_criterion_01_oracle_equivalence():
-    worst = 0.0
-    for v, phi1 in GRID:
-        table = moments.tree_weight_table(8, v, phi1)
-        for k in range(1, 9):
-            for r in range(1, k + 1):
-                oracle = oracle_tree_weight(k, r, v, phi1)
-                worst = max(worst, abs(oracle - table[k][r]) / abs(table[k][r]))
-    ok = worst <= 1e-9
-    report(1, "walk-oracle-equivalence", ok, f"worst rel gap {worst:.2e}")
-    assert ok
+    assert report_checks(1, "walk-oracle-equivalence", validate.check_oracle_vs_recurrence)
 
 
 def test_criterion_02_route_equivalence():
-    worst = 0.0
-    for v, phi1 in GRID:
-        table = moments.tree_weight_table(10, v, phi1)
-        for k in range(1, 11):
-            for r in range(1, k + 1):
-                split = moments.tree_weight_split(k, r, v, phi1)
-                worst = max(worst, abs(split - table[k][r]) / abs(table[k][r]))
-    ok = worst <= 1e-12
-    report(2, "recurrence-route-equivalence", ok, f"worst rel gap {worst:.2e}")
-    assert ok
+    assert report_checks(2, "recurrence-route-equivalence", validate.check_route_equivalence)
 
 
 def test_criterion_03_semicircle_limit():
-    worst_dense = 0.0
-    for v in V_VALUES:
-        big = moments.limit_moments(10, v, 1e8)
-        mu = moments.dense_moments(10, v)
-        for k in range(1, 11):
-            worst_dense = max(worst_dense, abs(big[k] - mu[k]) / abs(mu[k]))
-    worst_quad = 0.0
-    for v in V_VALUES:
-        mu = moments.dense_moments(12, v)
-        for k in range(0, 13):
-            worst_quad = max(worst_quad, abs(semicircle_moment(k, v) - mu[k]) / abs(mu[k]))
-    ok = worst_dense <= 1e-6 and worst_quad <= 1e-8
-    report(
-        3, "semicircle-limit", ok,
-        f"dense gap {worst_dense:.2e}, quadrature gap {worst_quad:.2e}",
+    assert report_checks(
+        3, "semicircle-limit",
+        validate.check_dense_limits, validate.check_dense_moment_quadrature,
     )
-    assert ok
 
 
 def test_criterion_04_adjacency_limit():
-    worst = 0.0
-    odd_zero = True
-    for v in V_VALUES:
-        for p in range(1, 7):
-            ell = moments.adjacency_moment(2 * p, v, 1e8)
-            cat = moments.catalan_moment(p, v)
-            worst = max(worst, abs(ell - cat) / cat)
-            odd_zero = odd_zero and moments.adjacency_moment(2 * p - 1, v, 1e8) == 0.0
-    ok = worst <= 1e-6 and odd_zero
-    report(4, "adjacency-catalan-limit", ok, f"even gap {worst:.2e}, odd zero {odd_zero}")
-    assert ok
+    assert report_checks(4, "adjacency-catalan-limit", validate.check_adjacency_limits)
 
 
 def test_criterion_05_zeta_exactness():
-    failures = [
-        name for name, adj in zeta_corpus() if series_consistency(adj, 10) != Fraction(0)
-    ]
+    series = validate.check_zeta_series()
     triangle = zeta_reciprocal_polynomial(cycle_graph(3)).as_list()
-    ok = not failures and triangle == [1, 0, 0, -2, 0, 0, 1]
-    report(5, "zeta-exactness", ok, f"series failures {failures or 'none'}")
+    ok = series.passed and triangle == [1, 0, 0, -2, 0, 0, 1]
+    report(5, "zeta-exactness", ok, f"{series.name}: {series.detail}; triangle {triangle}")
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_06_monte_carlo_convergence(mc_main, mc_sweep):
     theory = moments.limit_moments(4, ACC_V, ACC_PROFILE.phi1)
     z_scores = []
@@ -160,6 +110,7 @@ def test_criterion_06_monte_carlo_convergence(mc_main, mc_sweep):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_prefactor_expectation(mc_main):
     u = mc_main.prefactor_u
     theory = (ACC_PROFILE.phi1 / 2.0 - 1.0) * math.log(1.0 - u * u)
@@ -172,72 +123,19 @@ def test_criterion_07_prefactor_expectation(mc_main):
 
 
 def test_criterion_08_appendix_bounds():
-    ok = True
-    tightest = 0.0
-    for v, phi1 in GRID:
-        adj_rep = moments.adjacency_bound_report(8, max(1.0, 1.0 / phi1), v, phi1)
-        c_star = moments.admissible_constant(v, phi1)
-        tree_rep = moments.tree_bound_report(8, c_star, v, phi1)
-        ok = ok and adj_rep.passed and tree_rep.passed
-        tightest = max(tightest, adj_rep.tightest_ratio, tree_rep.tightest_ratio)
-    report(8, "weight-upper-bounds", ok, f"tightest ratio {tightest:.3f}")
-    assert ok
+    assert report_checks(8, "weight-upper-bounds", validate.check_bound_lemmas)
 
 
 def test_criterion_09_weighted_sum_identity():
-    worst = 0.0
-    for v, phi1 in GRID:
-        for p in range(1, 7):
-            lhs = moments.weighted_adjacency_sum(1, p, v, phi1)
-            rhs = 0.0
-            for g in range(1, p + 1):
-                conv = sum(
-                    moments.weighted_adjacency_sum(g, p - g - j, v, phi1)
-                    * moments.weighted_adjacency_sum(g, j, v, phi1)
-                    for j in range(p - g + 1)
-                )
-                rhs += v ** (2 * g) / phi1 ** (g - 1) * conv
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    ok = worst <= 1e-9
-    report(9, "weighted-sum-identity", ok, f"worst rel gap {worst:.2e}")
-    assert ok
+    assert report_checks(9, "weighted-sum-identity", validate.check_weighted_sum_identity)
 
 
 def test_criterion_10_limit_functions():
-    f_gap = max(
-        abs(log_zeta_limit(v) - (v * v / 2.0 - semicircle_log_integral(v)))
-        for v in (0.3, 0.7, 0.9)
-    )
-    f_zero = log_zeta_limit(0.0) == 0.0
-    rng = np.random.default_rng(3)
-    resid = 0.0
-    for _ in range(100):
-        z = complex(rng.uniform(-6, 6), rng.uniform(1e-3, 6))
-        g = stieltjes_transform(z, 1.0)
-        resid = max(resid, abs(g * (1.0 - z - g) - 1.0))
-    tail_ok = stieltjes_tail_within_bound()
-    ok = f_gap <= 1e-8 and f_zero and resid <= 1e-12 and tail_ok
-    report(
-        10, "limit-function-consistency", ok,
-        f"integral gap {f_gap:.2e}, residual {resid:.2e}, tail ok {tail_ok}",
-    )
-    assert ok
+    assert report_checks(10, "limit-function-consistency", validate.check_limit_functions)
 
 
 def test_criterion_11_zeta_bridge():
-    worst = 0.0
-    for name, adj in zeta_corpus():
-        degrees = adj.sum(axis=1)
-        n = adj.shape[0]
-        for u in (-0.2, -0.1, 0.05, 0.1, 0.2):
-            h = build_h(adj, degrees, u, 1.0)
-            summary = eigenvalue_summary(h, v=u, phi1=1.0)
-            lhs = neg_log_zeta_density(degrees, summary)
-            rhs = math.log(ihara_det_reciprocal(adj, u)) / n
-            worst = max(worst, abs(lhs - rhs))
-    ok = worst <= 1e-9
-    report(11, "zeta-bridge", ok, f"worst abs gap {worst:.2e}")
-    assert ok
+    assert report_checks(11, "zeta-bridge", validate.check_zeta_bridge)
 
 
 def test_criterion_12_mutation_sensitivity(monkeypatch, capsys):

@@ -41,6 +41,29 @@ class TestConfig:
         assert main(["sample", "--n", "5", "--seed", "7", "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
+    def test_config_file_seed_beats_zs_seed(self, tmp_path, monkeypatch):
+        # a saved config replays its own seed whatever ZS_SEED says
+        path = tmp_path / "run.cfg"
+        save_config(ExperimentConfig(n=6, seed=5), path)
+        out1, out2, out3 = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        monkeypatch.setenv("ZS_SEED", "7")
+        assert main(["sample", "--config", str(path), "--out", str(out1)]) == 0
+        assert main(["sample", "--n", "6", "--out", str(out3)]) == 0
+        monkeypatch.delenv("ZS_SEED")
+        assert main(["sample", "--n", "6", "--seed", "5", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert out1.read_bytes() != out3.read_bytes()
+
+    def test_zs_seed_fills_config_without_seed(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.cfg"
+        path.write_text("n=6\n")
+        out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        monkeypatch.setenv("ZS_SEED", "7")
+        assert main(["sample", "--config", str(path), "--out", str(out1)]) == 0
+        monkeypatch.delenv("ZS_SEED")
+        assert main(["sample", "--n", "6", "--seed", "7", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_zs_seed_env_fallback(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
         monkeypatch.setenv("ZS_SEED", "31")

@@ -7,20 +7,16 @@ from hypothesis import strategies as st
 from zetaspectra import moments
 from zetaspectra.moments import (
     adjacency_bound_report,
-    adjacency_moment,
-    adjacency_weight,
+    adjacency_moments,
+    adjacency_weight_table,
     admissible_constant,
     catalan_moment,
-    dense_moment,
     dense_moments,
-    dense_tree_weight,
     dense_tree_weight_table,
     extended_binomial,
     first_edge_weight,
-    limit_moment,
     limit_moments,
     tree_bound_report,
-    tree_weight,
     tree_weight_split,
     tree_weight_table,
     weighted_adjacency_sum,
@@ -54,8 +50,8 @@ class TestExtendedBinomial:
     def test_recurrences_stay_in_domain(self):
         moments.reset_extended_binomial_counter()
         limit_moments(9, 1.3, 0.7)
-        adjacency_moment(12, 0.8, 3.0)
-        tree_weight_split(7, 3, 1.1, 2.2)
+        adjacency_moments(12, 0.8, 3.0)
+        tree_weight_split(7, 1.1, 2.2)
         assert moments.extended_binomial_other_hits() == 0
 
 
@@ -68,23 +64,17 @@ class TestTreeWeights:
 
     @pytest.mark.parametrize("v,phi1", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
     def test_hand_values(self, v, phi1):
-        assert tree_weight(1, 1, v, phi1) == pytest.approx(v**2, rel=1e-14)
-        assert tree_weight(2, 1, v, phi1) == pytest.approx(v**2, rel=1e-14)
-        assert tree_weight(2, 2, v, phi1) == pytest.approx(v**4 + v**4 / phi1, rel=1e-14)
+        table = tree_weight_table(2, v, phi1)
+        assert table[1][1] == pytest.approx(v**2, rel=1e-14)
+        assert table[2][1] == pytest.approx(v**2, rel=1e-14)
+        assert table[2][2] == pytest.approx(v**4 + v**4 / phi1, rel=1e-14)
 
     def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            tree_weight(2, 3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            tree_weight_table(3, 1.0, 0.0)
-
-    def test_route_equivalence(self, param_grid):
-        for v, phi1 in param_grid:
-            table = tree_weight_table(6, v, phi1)
-            for k in range(1, 7):
-                for r in range(1, k + 1):
-                    split = tree_weight_split(k, r, v, phi1)
-                    assert split == pytest.approx(table[k][r], rel=1e-12)
+        for build in (tree_weight_table, tree_weight_split):
+            with pytest.raises(ValueError):
+                build(-1, 1.0, 1.0)
+            with pytest.raises(ValueError):
+                build(3, 1.0, 0.0)
 
     @settings(max_examples=30)
     @given(params=PARAMS)
@@ -139,36 +129,39 @@ class TestLimitMoments:
 class TestAdjacencyWeights:
     def test_initial_conditions_and_hand_values(self):
         v, phi1 = 1.3, 0.7
-        assert adjacency_weight(0, 0, v, phi1) == 1.0
-        assert adjacency_weight(1, 0, v, phi1) == 0.0
-        assert adjacency_weight(1, 1, v, phi1) == pytest.approx(v**2, rel=1e-14)
+        table = adjacency_weight_table(2, v, phi1)
+        assert table[0][0] == 1.0
+        assert table[1][0] == 0.0
+        assert table[1][1] == pytest.approx(v**2, rel=1e-14)
         # p = 2 row, derived by expanding the recurrence once
-        assert adjacency_weight(2, 1, v, phi1) == pytest.approx(v**4, rel=1e-13)
-        assert adjacency_weight(2, 2, v, phi1) == pytest.approx(v**4 + v**4 / phi1, rel=1e-13)
+        assert table[2][1] == pytest.approx(v**4, rel=1e-13)
+        assert table[2][2] == pytest.approx(v**4 + v**4 / phi1, rel=1e-13)
 
     @settings(max_examples=30)
     @given(params=PARAMS)
     def test_positivity(self, params):
         v, phi1 = params
+        table = adjacency_weight_table(6, v, phi1)
         for p in range(1, 7):
             for r in range(1, p + 1):
-                assert adjacency_weight(p, r, v, phi1) >= 0.0
+                assert table[p][r] >= 0.0
 
     def test_moment_parity(self):
-        assert adjacency_moment(0, 1.5, 2.0) == 1.0
+        ell = adjacency_moments(7, 1.5, 2.0)
+        assert ell[0] == 1.0
         for k in (1, 3, 5, 7):
-            assert adjacency_moment(k, 1.5, 2.0) == 0.0
-        assert adjacency_moment(2, 1.5, 2.0) == pytest.approx(1.5**2, rel=1e-13)
+            assert ell[k] == 0.0
+        assert ell[2] == pytest.approx(1.5**2, rel=1e-13)
 
     def test_catalan_limit(self):
         for v in (0.5, 1.0, 2.0):
+            ell = adjacency_moments(12, v, 1e8)
             for p in range(1, 7):
-                ell = adjacency_moment(2 * p, v, 1e8)
-                assert ell == pytest.approx(catalan_moment(p, v), rel=1e-6)
+                assert ell[2 * p] == pytest.approx(catalan_moment(p, v), rel=1e-6)
 
     def test_monotone_approach(self):
         target = catalan_moment(4, 1.0)
-        gaps = [abs(adjacency_moment(8, 1.0, phi1) - target) for phi1 in (1e2, 1e4, 1e6, 1e8)]
+        gaps = [abs(adjacency_moments(8, 1.0, phi1)[8] - target) for phi1 in (1e2, 1e4, 1e6, 1e8)]
         assert gaps == sorted(gaps, reverse=True)
 
 
@@ -197,14 +190,38 @@ class TestDenseRecurrences:
 
     def test_theta_limit_of_tree_weight(self):
         for v in (0.5, 1.0, 2.0):
+            dense = dense_tree_weight_table(8, v)
+            finite = tree_weight_table(8, v, 1e8)
             for k in range(1, 9):
                 for r in range(1, k + 1):
-                    dense = dense_tree_weight(k, r, v)
-                    finite = tree_weight(k, r, v, 1e8)
-                    assert finite == pytest.approx(dense, rel=1e-6)
+                    assert finite[k][r] == pytest.approx(dense[k][r], rel=1e-6)
 
     def test_theta_first_step(self):
-        assert dense_tree_weight(1, 1, 1.4) == pytest.approx(1.4**2)
+        assert dense_tree_weight_table(1, 1.4)[1][1] == pytest.approx(1.4**2)
+
+
+class TestTablePrefixStability:
+    """Lower orders are exact prefixes of one table, so every caller can
+    build a table once at its largest order and index it."""
+
+    K = 16
+
+    def test_moment_lists(self, param_grid):
+        for v, phi1 in param_grid:
+            for build in (
+                lambda k: limit_moments(k, v, phi1),
+                lambda k: adjacency_moments(k, v, phi1),
+                lambda k: dense_moments(k, v),
+            ):
+                full = build(self.K)
+                for k in range(self.K + 1):
+                    assert full[: k + 1] == build(k)
+
+    def test_split_table_rows(self, param_grid):
+        for v, phi1 in param_grid:
+            full = tree_weight_split(self.K, v, phi1)
+            for k in range(self.K + 1):
+                assert full[: k + 1] == tree_weight_split(k, v, phi1)
 
 
 class TestCatalan:
@@ -226,30 +243,13 @@ class TestCatalan:
 class TestWeightedAdjacencySums:
     def test_order_one_is_moment(self):
         v, phi1 = 1.1, 0.9
+        ell = adjacency_moments(12, v, phi1)
         for p in range(1, 7):
-            assert weighted_adjacency_sum(1, p, v, phi1) == pytest.approx(
-                adjacency_moment(2 * p, v, phi1), rel=1e-13
-            )
+            assert weighted_adjacency_sum(1, p, v, phi1) == pytest.approx(ell[2 * p], rel=1e-13)
 
     def test_order_zero_row(self):
         for i in range(1, 6):
             assert weighted_adjacency_sum(i, 0, 1.5, 2.5) == 1.0
-
-    def test_generating_identity(self, param_grid):
-        # L_p expands over single-root-edge multiplicities against the
-        # rising-factorial-weighted sums
-        for v, phi1 in param_grid:
-            for p in range(1, 7):
-                lhs = weighted_adjacency_sum(1, p, v, phi1)
-                rhs = 0.0
-                for g in range(1, p + 1):
-                    conv = sum(
-                        weighted_adjacency_sum(g, p - g - j, v, phi1)
-                        * weighted_adjacency_sum(g, j, v, phi1)
-                        for j in range(0, p - g + 1)
-                    )
-                    rhs += v ** (2 * g) / phi1 ** (g - 1) * conv
-                assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 class TestBounds:

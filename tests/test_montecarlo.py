@@ -2,11 +2,34 @@ import numpy as np
 import pytest
 
 from zetaspectra.montecarlo import (
+    EnsembleResult,
     convergence_sweep,
     moment_comparison,
     run_ensemble,
     run_trial,
 )
+
+
+def ensemble_of(moments, profile):
+    moments = np.array(moments, dtype=float)
+    return EnsembleResult(
+        n=1, radius=1.0, profile=profile, v=1.0, seed=0,
+        k_max=moments.shape[1] - 1, moments=moments,
+    )
+
+
+class TestEnsembleResult:
+    def test_identical_trials_zero_stderr(self, gauss_profile):
+        # three trials with the same spectrum {1, 2}: moments 1, 3/2, 5/2, 9/2
+        result = ensemble_of([[1.0, 1.5, 2.5, 4.5]] * 3, gauss_profile)
+        assert result.moment_mean(0) == 1.0
+        for k in range(4):
+            assert result.moment_stderr(k) == 0.0
+
+    def test_two_trial_mean(self, gauss_profile):
+        # first moments of the spectra {1, 3} and {2, 4}
+        result = ensemble_of([[1.0, 2.0], [1.0, 3.0]], gauss_profile)
+        assert result.moment_mean(1) == pytest.approx((2.0 + 3.0) / 2.0)
 
 
 class TestRunTrial:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from zetaspectra import cli
 from zetaspectra.percolation import (
     Profile,
     ProfileFamily,
@@ -169,13 +170,13 @@ def test_edge_list_format(gauss_profile):
 
 
 def test_file_exports(tmp_path, gauss_profile):
-    from zetaspectra.percolation import write_dense_csv, write_edge_list
-
+    # `sample` is the one writer: edge list by default, dense 0/1 CSV on --dense
     sample = sample_adjacency(3, 1.5, gauss_profile, seed=11)
     edge_path = tmp_path / "edges.txt"
     dense_path = tmp_path / "dense.csv"
-    write_edge_list(sample, edge_path)
-    write_dense_csv(sample, dense_path)
+    args = ["sample", "--n", "3", "--R", "1.5", "--seed", "11", "--out"]
+    assert cli.main(args + [str(edge_path)]) == 0
+    assert cli.main(args + [str(dense_path), "--dense"]) == 0
     assert edge_path.read_text() == format_edge_list(sample)
     dense = np.loadtxt(dense_path, delimiter=",", dtype=np.int8)
     assert np.array_equal(dense, sample.entries)

@@ -7,7 +7,6 @@ from zetaspectra.graphs import cycle_graph
 from zetaspectra.percolation import build_h, degree_vector, sample_adjacency
 from zetaspectra.spectra import (
     SpectralSummary,
-    average_moments,
     counting_function,
     eigenvalue_summary,
     empirical_moment,
@@ -94,29 +93,6 @@ class TestEmpiricalMoments:
         n = h.shape[0]
         assert empirical_moment(s, 1) == pytest.approx(np.trace(h) / n, rel=1e-8)
         assert empirical_moment(s, 2) == pytest.approx(np.trace(h @ h) / n, rel=1e-8)
-
-
-class TestAverageMoments:
-    def test_identical_trials_zero_stderr(self):
-        s = summary_from_eigs([1.0, 2.0])
-        rows = average_moments([s, s, s], k_max=3)
-        assert rows[0].mean == 1.0 and rows[0].stderr == 0.0
-        for row in rows:
-            assert row.stderr == 0.0
-
-    def test_two_trial_mean(self):
-        s1 = summary_from_eigs([1.0, 3.0])
-        s2 = summary_from_eigs([2.0, 4.0])
-        rows = average_moments([s1, s2], k_max=1)
-        assert rows[1].mean == pytest.approx((2.0 + 3.0) / 2.0)
-
-    def test_mismatched_parameters_rejected(self):
-        s1 = summary_from_eigs([1.0, 3.0], v=1.0)
-        s2 = summary_from_eigs([2.0, 4.0], v=2.0)
-        with pytest.raises(ValueError, match="mismatched"):
-            average_moments([s1, s2], k_max=2)
-        with pytest.raises(ValueError):
-            average_moments([s1], k_max=2)
 
 
 class TestLogDetDensity:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zetaspectra import cli
 from zetaspectra.graphs import (
     complete_graph,
     cycle_graph,
@@ -12,9 +13,9 @@ from zetaspectra.graphs import (
     path_graph,
     random_connected_graph,
     read_edge_list,
-    write_edge_list_array,
     zeta_corpus,
 )
+from zetaspectra.percolation import sample_adjacency
 from zetaspectra.zeta import (
     count_closed_paths,
     ihara_det_reciprocal,
@@ -39,11 +40,15 @@ class TestGraphs:
         again = random_connected_graph(7, 0.4, seed=42)
         assert np.array_equal(adj, again)
 
-    def test_edge_list_roundtrip(self, tmp_path):
-        adj = random_connected_graph(6, 0.5, seed=9)
+    def test_edge_list_roundtrip(self, tmp_path, gauss_profile):
+        # `sample --out` writes site labels -n..n; reading relabels the
+        # vertices that carry an edge to 0..m-1 in site order
         path = tmp_path / "graph.txt"
-        write_edge_list_array(adj, path)
-        assert np.array_equal(read_edge_list(path), adj)
+        assert cli.main(["sample", "--n", "6", "--R", "2", "--seed", "9", "--out", str(path)]) == 0
+        entries = sample_adjacency(6, 2.0, gauss_profile, seed=9).entries
+        touched = entries.sum(axis=1) > 0
+        assert touched.sum() >= 2
+        assert np.array_equal(read_edge_list(path), entries[np.ix_(touched, touched)])
 
     def test_corpus_contents(self):
         names = [name for name, _ in zeta_corpus()]
