@@ -18,7 +18,6 @@ import numpy as np
 
 from zetaspectra.limits import gauss_rule_from_moments
 from zetaspectra.moments import limit_moments
-from zetaspectra.montecarlo import run_ensemble
 from zetaspectra.percolation import Profile, build_h, sample_adjacency
 from zetaspectra.spectra import eigenvalue_summary, log_det_density
 

@@ -26,8 +26,7 @@ def main() -> int:
     profile = Profile.from_name("gauss", args.a)
     sample = sample_adjacency(args.n, args.R, profile, args.seed)
     h = build_h(sample.entries, sample.degrees(), args.v, profile.phi1)
-    summary = eigenvalue_summary(h, v=args.v, phi1=profile.phi1, n=args.n,
-                                 radius=args.R, seed=args.seed)
+    summary = eigenvalue_summary(h, v=args.v, phi1=profile.phi1)
 
     left, right, density = histogram_density(summary, bins=args.bins)
     with open(args.out, "w", encoding="ascii") as fh:

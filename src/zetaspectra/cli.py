@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ValueError("amplitude must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.k_max < 0:
+            raise ValueError("k_max must be >= 0")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -112,19 +114,33 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="key=value config file; flags override")
-    parser.add_argument("--n", type=int, default=None, help="half-width; N = 2n+1 vertices")
-    parser.add_argument("--R", dest="radius", type=float, default=None, help="interaction radius >= 1")
-    parser.add_argument("--profile", choices=["exp", "gauss", "lorentz"], default=None)
-    parser.add_argument("--a", dest="amplitude", type=float, default=None, help="profile amplitude in (0,1)")
-    parser.add_argument("--v", type=float, default=None, help="spectral parameter")
-    parser.add_argument("--seed", type=int, default=None, help="base seed (env ZS_SEED as fallback)")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--kmax", dest="k_max", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    parser.add_argument("--threads", type=int, default=1)
+def _table(rows, header, fmt: str) -> str:
+    """Rows as CSV, or as a JSON list of {header: value} dicts."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    return _csv(rows, header)
+
+
+# Experiment flags; each subcommand takes only the ones its handler reads.
+_FLAGS = {
+    "--config": dict(default=None, help="key=value config file; flags override"),
+    "--n": dict(type=int, default=None, help="half-width; N = 2n+1 vertices"),
+    "--R": dict(dest="radius", type=float, default=None, help="interaction radius >= 1"),
+    "--profile": dict(choices=["exp", "gauss", "lorentz"], default=None),
+    "--a": dict(dest="amplitude", type=float, default=None, help="profile amplitude in (0,1)"),
+    "--v": dict(type=float, default=None, help="spectral parameter"),
+    "--seed": dict(type=int, default=None, help="base seed (env ZS_SEED as fallback)"),
+    "--trials": dict(type=int, default=None),
+    "--kmax": dict(dest="k_max", type=int, default=None),
+    "--out": dict(default=None, help="output path (stdout if omitted)"),
+    "--format": dict(dest="fmt", choices=["csv", "json"], default=None),
+    "--threads": dict(type=int, default=1, help="worker threads over trials"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
+    for flag in flags.split():
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -144,7 +160,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_sample(args) -> int:
     cfg = _resolve_config(args)
     sample = percolation.sample_adjacency(cfg.n, cfg.radius, cfg.make_profile(), cfg.seed)
-    if getattr(args, "dense", False):
+    if args.dense:
         text = "\n".join(",".join(str(int(x)) for x in row) for row in sample.entries) + "\n"
     else:
         text = percolation.format_edge_list(sample)
@@ -158,9 +174,7 @@ def _cmd_spectrum(args) -> int:
     profile = cfg.make_profile()
     sample = percolation.sample_adjacency(cfg.n, cfg.radius, profile, cfg.seed)
     h = percolation.build_h(sample.entries, sample.degrees(), cfg.v, profile.phi1)
-    summary = spectra.eigenvalue_summary(
-        h, v=cfg.v, phi1=profile.phi1, n=cfg.n, radius=cfg.radius, seed=cfg.seed
-    )
+    summary = spectra.eigenvalue_summary(h, v=cfg.v, phi1=profile.phi1)
     if cfg.fmt == "json":
         text = json.dumps({"eigenvalues": [float(x) for x in summary.eigenvalues]}) + "\n"
     else:
@@ -207,21 +221,13 @@ def _cmd_moments(args) -> int:
         _emit(json.dumps(payload, indent=1) + "\n", cfg.out, args)
         return 0
     if args.theory:
-        rows = list(
-            zip(
-                range(cfg.k_max + 1),
-                moments.limit_moments(cfg.k_max, cfg.v, profile.phi1),
-                moments.adjacency_moments(cfg.k_max, cfg.v, profile.phi1),
-                moments.dense_moments(cfg.k_max, cfg.v),
-            )
+        rows = zip(
+            range(cfg.k_max + 1),
+            moments.limit_moments(cfg.k_max, cfg.v, profile.phi1),
+            moments.adjacency_moments(cfg.k_max, cfg.v, profile.phi1),
+            moments.dense_moments(cfg.k_max, cfg.v),
         )
-        if cfg.fmt == "json":
-            text = json.dumps(
-                [dict(zip(("k", "m_k", "ell_k", "mu_k"), row)) for row in rows]
-            ) + "\n"
-        else:
-            text = _csv(rows, ["k", "m_k", "ell_k", "mu_k"])
-        _emit(text, cfg.out, args)
+        _emit(_table(rows, ["k", "m_k", "ell_k", "mu_k"], cfg.fmt), cfg.out, args)
         return 0
     if cfg.trials < 2:
         print("empirical moments need --trials >= 2", file=sys.stderr)
@@ -235,11 +241,7 @@ def _cmd_moments(args) -> int:
         for r in moment_comparison(result)
     ]
     header = ["k", "mean", "stderr", "theory_m_k", "abs_diff", "z_score"]
-    if cfg.fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
-    else:
-        text = _csv(rows, header)
-    _emit(text, cfg.out, args)
+    _emit(_table(rows, header, cfg.fmt), cfg.out, args)
     return 0
 
 
@@ -265,11 +267,7 @@ def _cmd_converge(args) -> int:
         for k in range(0, cfg.k_max + 1):
             rows.append((pt.n_vertices, pt.radius, pt.trials, k, pt.gaps[k], pt.stderrs[k]))
     header = ["N", "R", "trials", "k", "abs_gap", "stderr"]
-    if cfg.fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
-    else:
-        text = _csv(rows, header)
-    _emit(text, cfg.out, args)
+    _emit(_table(rows, header, cfg.fmt), cfg.out, args)
     return 0
 
 
@@ -290,7 +288,6 @@ def _parse_graph(spec: str) -> np.ndarray:
 
 
 def _cmd_zeta(args) -> int:
-    cfg = _resolve_config(args)
     adj = _parse_graph(args.graph)
     poly = zeta.zeta_reciprocal_polynomial(adj)
     payload = {
@@ -302,14 +299,12 @@ def _cmd_zeta(args) -> int:
     if args.u is not None:
         payload["u"] = args.u
         payload["reciprocal_at_u"] = zeta.ihara_det_reciprocal(adj, args.u)
+    gap = 0
     if args.check_order:
         gap = zeta.series_consistency(adj, args.check_order)
         payload["series_gap"] = str(gap)
-        if gap != 0:
-            _emit(json.dumps(payload, indent=1) + "\n", cfg.out, args)
-            return 1
-    _emit(json.dumps(payload, indent=1) + "\n", cfg.out, args)
-    return 0
+    _emit(json.dumps(payload, indent=1) + "\n", args.out, args)
+    return 1 if gap else 0
 
 
 def _cmd_limits(args) -> int:
@@ -339,7 +334,7 @@ def _cmd_limits(args) -> int:
 def _cmd_validate(args) -> int:
     report = run_validation()
     text = json.dumps(report, indent=1) + "\n"
-    _emit(text, getattr(args, "out", None) or "", args)
+    _emit(text, args.out, args)
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{status}: {check['name']} ({check['detail']})", file=sys.stderr)
@@ -354,50 +349,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw an adjacency matrix and write its edge list")
-    _add_common(p)
-    p.add_argument("--dense", action="store_true", help="write the dense 0/1 CSV instead")
-    p.set_defaults(func=_cmd_sample)
+    def command(name, func, summary, flags) -> argparse.ArgumentParser:
+        # allow_abbrev=False: a flag the subcommand lacks must not resolve to
+        # a longer one it has (`converge --n` is not `--n-sweep`)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        _add_flags(p, flags)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="eigenvalues of one sampled matrix")
-    _add_common(p)
+    p = command("sample", _cmd_sample, "draw an adjacency matrix and write its edge list",
+                "--config --n --R --profile --a --seed --out")
+    p.add_argument("--dense", action="store_true", help="write the dense 0/1 CSV instead")
+
+    p = command("spectrum", _cmd_spectrum, "eigenvalues of one sampled matrix",
+                "--config --n --R --profile --a --v --seed --out --format")
     p.add_argument("--hist-bins", type=int, default=0)
     p.add_argument("--plot-script", default="", help="also write a plotting stub here")
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("moments", help="empirical vs limiting moments")
-    _add_common(p)
+    p = command("moments", _cmd_moments, "empirical vs limiting moments",
+                "--config --n --R --profile --a --v --seed --trials --kmax --out --format"
+                " --threads")
     p.add_argument("--theory", action="store_true", help="theory table only, no sampling")
     p.add_argument("--bounds", action="store_true", help="JSON bound report up to --kmax")
-    p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("converge", help="moment gaps along a size sweep")
-    _add_common(p)
+    p = command("converge", _cmd_converge, "moment gaps along a size sweep",
+                "--config --profile --a --v --seed --trials --kmax --out --format --threads")
     p.add_argument("--n-sweep", default="250,500,1000", help="comma-separated n values")
     p.add_argument("--gamma", type=float, default=0.5, help="R = ceil(r_scale * N^gamma)")
     p.add_argument("--r-scale", type=float, default=1.0)
-    p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("zeta", help="exact reciprocal zeta polynomial of a small graph")
-    _add_common(p)
+    p = command("zeta", _cmd_zeta, "exact reciprocal zeta polynomial of a small graph", "--out")
     p.add_argument("--graph", required=True, help="P5, C3, K4, random:n,p,seed or file:PATH")
     p.add_argument("--u", type=float, default=None)
     p.add_argument("--check-order", type=int, default=0)
-    p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("limits", help="limit-law tables for plotting")
-    _add_common(p)
+    p = command("limits", _cmd_limits, "limit-law tables for plotting", "--config --v --out")
     p.add_argument("--what", choices=["fgrid", "density", "stieltjes"], default="fgrid")
     p.add_argument("--v-min", type=float, default=-2.0)
     p.add_argument("--v-max", type=float, default=2.0)
     p.add_argument("--v-count", type=int, default=41)
     p.add_argument("--points", type=int, default=101)
-    p.set_defaults(func=_cmd_limits)
 
-    p = sub.add_parser("validate", help="run the cross-module validation suite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
+    command("validate", _cmd_validate, "run the cross-module validation suite", "--out")
     return parser
 
 

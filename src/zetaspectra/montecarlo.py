@@ -15,7 +15,7 @@ import numpy as np
 
 from .moments import limit_moments
 from .percolation import Profile, build_h, sample_adjacency
-from .spectra import eigenvalue_summary, log_prefactor_density
+from .spectra import eigenvalue_summary, empirical_moment, log_prefactor_density
 
 __all__ = [
     "EnsembleResult",
@@ -65,36 +65,16 @@ def run_trial(
     seed: int,
     k_max: int,
     prefactor_u: float = 0.3,
-    use_eigenvalues: bool = True,
 ):
     """One seeded draw: spectral moments 0..k_max plus degree statistics.
 
-    With use_eigenvalues the moments come from the full spectrum (one
-    decomposition serves all k); otherwise they come from traces of matrix
-    powers, which is cheaper when k_max <= 4 and numerically identical.
+    One decomposition of H serves every moment order.
     """
     sample = sample_adjacency(n, radius, profile, seed)
     degrees = sample.degrees()
     h = build_h(sample.entries, degrees, v, profile.phi1)
-    n_vertices = sample.n_vertices
-    moments = np.empty(k_max + 1)
-    moments[0] = 1.0
-    if use_eigenvalues:
-        summary = eigenvalue_summary(h, v=v, phi1=profile.phi1, n=n, radius=radius, seed=seed)
-        for k in range(1, k_max + 1):
-            moments[k] = float(np.mean(summary.eigenvalues**k))
-    else:
-        if k_max > 4:
-            raise ValueError("trace route implemented for k_max <= 4")
-        if k_max >= 1:
-            moments[1] = float(np.trace(h)) / n_vertices
-        if k_max >= 2:
-            moments[2] = float(np.sum(h * h)) / n_vertices
-        if k_max >= 3:
-            h2 = h @ h
-            moments[3] = float(np.sum(h2 * h)) / n_vertices
-            if k_max >= 4:
-                moments[4] = float(np.sum(h2 * h2)) / n_vertices
+    summary = eigenvalue_summary(h, v=v, phi1=profile.phi1)
+    moments = np.array([empirical_moment(summary, k) for k in range(k_max + 1)])
     prefactor = log_prefactor_density(degrees, prefactor_u)
     return moments, prefactor, sample.mean_degree()
 
@@ -109,7 +89,6 @@ def run_ensemble(
     k_max: int,
     prefactor_u: float = 0.3,
     threads: int = 1,
-    use_eigenvalues: bool = True,
 ) -> EnsembleResult:
     """Independent trials with per-trial seeds seed + trial index."""
     if trials < 1:
@@ -119,10 +98,7 @@ def run_ensemble(
     mean_degrees = np.empty(trials)
 
     def work(t: int):
-        return run_trial(
-            n, radius, profile, v, seed + t, k_max,
-            prefactor_u=prefactor_u, use_eigenvalues=use_eigenvalues,
-        )
+        return run_trial(n, radius, profile, v, seed + t, k_max, prefactor_u=prefactor_u)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -188,7 +164,6 @@ def convergence_sweep(
     k_max: int = 4,
     r_scale: float = 1.0,
     threads: int = 1,
-    use_eigenvalues: bool = True,
 ) -> list[SweepPoint]:
     """Gap-versus-size table along R = ceil(r_scale * N^gamma).
 
@@ -205,10 +180,7 @@ def convergence_sweep(
     for n, n_trials in zip(n_values, trials):
         n_vertices = 2 * n + 1
         radius = max(1.0, math.ceil(r_scale * n_vertices**gamma))
-        result = run_ensemble(
-            n, radius, profile, v, seed, n_trials, k_max,
-            threads=threads, use_eigenvalues=use_eigenvalues,
-        )
+        result = run_ensemble(n, radius, profile, v, seed, n_trials, k_max, threads=threads)
         gaps = tuple(abs(result.moment_mean(k) - theory[k]) for k in range(k_max + 1))
         errs = tuple(result.moment_stderr(k) if k else 0.0 for k in range(k_max + 1))
         points.append(SweepPoint(n, n_vertices, radius, n_trials, gaps, errs))

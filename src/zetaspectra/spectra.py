@@ -35,14 +35,11 @@ TRACE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Sorted spectrum of one realization plus its parameters."""
+    """Sorted spectrum of one realization plus the (v, phi1) of its H."""
 
     eigenvalues: np.ndarray = field(repr=False)
     v: float
     phi1: float
-    n: int | None = None
-    radius: float | None = None
-    seed: int | None = None
     trace_check: float = 0.0
 
     def __post_init__(self):
@@ -53,14 +50,7 @@ class SpectralSummary:
         return self.eigenvalues.shape[0]
 
 
-def eigenvalue_summary(
-    h: np.ndarray,
-    v: float,
-    phi1: float,
-    n: int | None = None,
-    radius: float | None = None,
-    seed: int | None = None,
-) -> SpectralSummary:
+def eigenvalue_summary(h: np.ndarray, v: float, phi1: float) -> SpectralSummary:
     """Full ascending spectrum of a symmetric matrix.
 
     Rejects matrices that are not symmetric to within 1e-12 entrywise, and
@@ -78,9 +68,7 @@ def eigenvalue_summary(
     tol = TRACE_RTOL * h.shape[0] * max(1.0, abs(trace))
     if gap > tol:
         raise ArithmeticError(f"eigenvalue sum deviates from trace by {gap:.3e}")
-    return SpectralSummary(
-        eigenvalues=eigs, v=v, phi1=phi1, n=n, radius=radius, seed=seed, trace_check=gap
-    )
+    return SpectralSummary(eigenvalues=eigs, v=v, phi1=phi1, trace_check=gap)
 
 
 def counting_function(summary: SpectralSummary, lam: float) -> float:

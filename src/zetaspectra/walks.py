@@ -80,21 +80,6 @@ class Diagram:
     steps: tuple[tuple[int, int, bool], ...]  # (src, dst, is_red) in step order
     edge_counts: dict  # {(lo, hi): (blue_multiplicity, red_multiplicity)}
 
-    def blue_pairs(self, edge) -> int:
-        """Half the blue multiplicity of a skeleton edge (its l counter)."""
-        blue, _ = self.edge_counts[edge]
-        if blue % 2:
-            raise ValueError(f"edge {edge} has odd blue multiplicity {blue}")
-        return blue // 2
-
-    @property
-    def skeleton_edges(self):
-        return sorted(self.edge_counts)
-
-    @property
-    def total_steps(self) -> int:
-        return len(self.steps)
-
 
 def diagram_of_walk(walk: Walk) -> Diagram:
     """Chronological run over the walk drawing one edge per step.

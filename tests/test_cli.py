@@ -31,6 +31,8 @@ class TestConfig:
             ExperimentConfig(amplitude=1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(fmt="xml")
+        with pytest.raises(ValueError, match="k_max"):
+            ExperimentConfig(k_max=-1)
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -71,6 +73,25 @@ class TestConfig:
         monkeypatch.delenv("ZS_SEED")
         assert main(["sample", "--n", "6", "--seed", "31", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+UNREAD_FLAGS = [
+    ["validate", "--n", "5"],
+    ["zeta", "--graph", "C3", "--seed", "3"],
+    ["limits", "--trials", "2"],
+    ["converge", "--n", "5"],
+    ["sample", "--v", "1"],
+    ["spectrum", "--kmax", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[argv[0] for argv in UNREAD_FLAGS])
+def test_unread_flag_is_refused(argv, capsys):
+    # each subcommand accepts only the flags its handler reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSample:

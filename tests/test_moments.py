@@ -109,13 +109,6 @@ class TestLimitMoments:
             assert ms[1] == pytest.approx(v * v, rel=1e-13)
             assert ms[2] == pytest.approx(v**2 + v**4 + v**4 / phi1, rel=1e-13)
 
-    def test_dense_limit(self):
-        for v in (0.5, 1.0, 2.0):
-            big = limit_moments(10, v, 1e8)
-            mu = dense_moments(10, v)
-            for k in range(1, 11):
-                assert big[k] == pytest.approx(mu[k], rel=1e-6)
-
     def test_monotone_approach_to_dense_limit(self):
         mu = dense_moments(8, 1.0)
         gaps = []
@@ -153,12 +146,6 @@ class TestAdjacencyWeights:
             assert ell[k] == 0.0
         assert ell[2] == pytest.approx(1.5**2, rel=1e-13)
 
-    def test_catalan_limit(self):
-        for v in (0.5, 1.0, 2.0):
-            ell = adjacency_moments(12, v, 1e8)
-            for p in range(1, 7):
-                assert ell[2 * p] == pytest.approx(catalan_moment(p, v), rel=1e-6)
-
     def test_monotone_approach(self):
         target = catalan_moment(4, 1.0)
         gaps = [abs(adjacency_moments(8, 1.0, phi1)[8] - target) for phi1 in (1e2, 1e4, 1e6, 1e8)]
@@ -187,14 +174,6 @@ class TestDenseRecurrences:
             for k in range(1, 13):
                 total = sum(table[k][r] for r in range(1, k + 1))
                 assert total == pytest.approx(mu[k], rel=1e-13)
-
-    def test_theta_limit_of_tree_weight(self):
-        for v in (0.5, 1.0, 2.0):
-            dense = dense_tree_weight_table(8, v)
-            finite = tree_weight_table(8, v, 1e8)
-            for k in range(1, 9):
-                for r in range(1, k + 1):
-                    assert finite[k][r] == pytest.approx(dense[k][r], rel=1e-6)
 
     def test_theta_first_step(self):
         assert dense_tree_weight_table(1, 1.4)[1][1] == pytest.approx(1.4**2)

@@ -38,16 +38,6 @@ class TestRunTrial:
         m2, p2, d2 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
         assert np.array_equal(m1, m2) and p1 == p2 and d1 == d2
 
-    def test_trace_route_matches_eigenvalues(self, gauss_profile):
-        # the estimator is the same number through either code path
-        eig, _, _ = run_trial(25, 2.0, gauss_profile, 1.1, seed=3, k_max=4)
-        tra, _, _ = run_trial(25, 2.0, gauss_profile, 1.1, seed=3, k_max=4, use_eigenvalues=False)
-        assert np.allclose(eig, tra, rtol=1e-8)
-
-    def test_trace_route_order_limit(self, gauss_profile):
-        with pytest.raises(ValueError):
-            run_trial(10, 2.0, gauss_profile, 1.0, seed=1, k_max=5, use_eigenvalues=False)
-
 
 class TestRunEnsemble:
     def test_threading_is_deterministic(self, gauss_profile):
@@ -88,7 +78,6 @@ class TestConvergenceSweep:
 
     def test_radius_rule(self, gauss_profile):
         (pt,) = convergence_sweep(
-            [1000], 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1, r_scale=0.9,
-            use_eigenvalues=False,
+            [1000], 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1, r_scale=0.9
         )
         assert pt.radius == np.ceil(0.9 * np.sqrt(2001))
