@@ -1,4 +1,4 @@
-"""Command-line front end: sampling, spectra, moments, zeta, limits, validate."""
+"""Command-line front end: sampling, spectra, moments, log-det, zeta, limits, validate."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import graphs, limits, moments, percolation, spectra, zeta
-from .montecarlo import convergence_sweep, moment_comparison, run_ensemble
+from .montecarlo import convergence_sweep, moment_comparison, run_ensemble, sample_spectrum
 from .validate import run_validation
 
 __all__ = ["main", "ExperimentConfig", "load_config", "save_config"]
@@ -138,6 +138,10 @@ _FLAGS = {
 }
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
     for flag in flags.split():
         parser.add_argument(flag, **_FLAGS[flag])
@@ -171,10 +175,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
-    profile = cfg.make_profile()
-    sample = percolation.sample_adjacency(cfg.n, cfg.radius, profile, cfg.seed)
-    h = percolation.build_h(sample.entries, sample.degrees(), cfg.v, profile.phi1)
-    summary = spectra.eigenvalue_summary(h, v=cfg.v, phi1=profile.phi1)
+    _, summary = sample_spectrum(cfg.n, cfg.radius, cfg.make_profile(), cfg.v, cfg.seed)
     if cfg.fmt == "json":
         text = json.dumps({"eigenvalues": [float(x) for x in summary.eigenvalues]}) + "\n"
     else:
@@ -183,9 +184,7 @@ def _cmd_spectrum(args) -> int:
     if args.hist_bins:
         left, right, dens = spectra.histogram_density(summary, bins=args.hist_bins)
         hist_text = _csv(zip(left, right, dens), ["bin_left", "bin_right", "density"])
-        hist_path = (cfg.out or "spectrum") + ".hist.csv"
-        with open(hist_path, "w", encoding="ascii") as fh:
-            fh.write(hist_text)
+        _emit(hist_text, (cfg.out or "spectrum") + ".hist.csv", args)
     if args.plot_script:
         with open(args.plot_script, "w", encoding="ascii") as fh:
             fh.write(_PLOT_STUB.format(data=cfg.out or "spectrum.csv"))
@@ -250,14 +249,19 @@ def _cmd_converge(args) -> int:
     if args.gamma >= 1.0:
         print("violates R = o(N): need gamma < 1", file=sys.stderr)
         return 2
-    n_values = [int(x) for x in args.n_sweep.split(",")]
+    trials = args.trial_counts or [cfg.trials]
+    if len(trials) == 1:
+        trials = trials * len(args.n_sweep)
+    if len(trials) != len(args.n_sweep):
+        print("--trials needs one count, or one per --n-sweep entry", file=sys.stderr)
+        return 2
     points = convergence_sweep(
-        n_values,
+        args.n_sweep,
         args.gamma,
         cfg.make_profile(),
         cfg.v,
         cfg.seed,
-        cfg.trials,
+        trials,
         k_max=cfg.k_max,
         r_scale=args.r_scale,
         threads=args.threads,
@@ -268,6 +272,33 @@ def _cmd_converge(args) -> int:
             rows.append((pt.n_vertices, pt.radius, pt.trials, k, pt.gaps[k], pt.stderrs[k]))
     header = ["N", "R", "trials", "k", "abs_gap", "stderr"]
     _emit(_table(rows, header, cfg.fmt), cfg.out, args)
+    return 0
+
+
+def _cmd_logdet(args) -> int:
+    cfg = _resolve_config(args)
+    if cfg.trials < 2:
+        print("the log-det mean needs --trials >= 2", file=sys.stderr)
+        return 2
+    profile = cfg.make_profile()
+    v, phi1 = cfg.v, profile.phi1
+    # the limit measure is known through its moments: integrate
+    # log(shift + lambda) against the Gauss rule they determine
+    nodes, weights = limits.gauss_rule_from_moments(
+        moments.limit_moments(2 * args.gauss_points, v, phi1)
+    )
+    integral = float(np.sum(weights * np.log(1.0 - v * v / phi1 + nodes)))
+    values = np.array([
+        spectra.log_det_density(sample_spectrum(cfg.n, cfg.radius, profile, v, cfg.seed + t)[1])
+        for t in range(cfg.trials)
+    ])
+    mean = values.mean()
+    stderr = values.std(ddof=1) / np.sqrt(cfg.trials)
+    row = (2 * cfg.n + 1, cfg.radius, v, phi1, cfg.trials, mean, stderr,
+           args.gauss_points, integral, mean - integral)
+    header = ["N", "R", "v", "phi1", "trials", "logdet_mean", "logdet_stderr",
+              "gauss_points", "limit_integral", "gap"]
+    _emit(_table([row], header, cfg.fmt), cfg.out, args)
     return 0
 
 
@@ -369,14 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("moments", _cmd_moments, "empirical vs limiting moments",
                 "--config --n --R --profile --a --v --seed --trials --kmax --out --format"
                 " --threads")
-    p.add_argument("--theory", action="store_true", help="theory table only, no sampling")
-    p.add_argument("--bounds", action="store_true", help="JSON bound report up to --kmax")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--theory", action="store_true", help="theory table only, no sampling")
+    mode.add_argument("--bounds", action="store_true", help="JSON bound report up to --kmax")
 
     p = command("converge", _cmd_converge, "moment gaps along a size sweep",
-                "--config --profile --a --v --seed --trials --kmax --out --format --threads")
-    p.add_argument("--n-sweep", default="250,500,1000", help="comma-separated n values")
+                "--config --profile --a --v --seed --kmax --out --format --threads")
+    p.add_argument("--n-sweep", type=_int_list, default="250,500,1000",
+                   help="comma-separated n values")
+    p.add_argument("--trials", dest="trial_counts", type=_int_list, default=None,
+                   help="trials per size: one count, or one per --n-sweep entry")
     p.add_argument("--gamma", type=float, default=0.5, help="R = ceil(r_scale * N^gamma)")
     p.add_argument("--r-scale", type=float, default=1.0)
+
+    p = command("logdet", _cmd_logdet, "trial-mean log-det density against its limit integral",
+                "--config --n --R --profile --a --v --seed --trials --out --format")
+    p.add_argument("--gauss-points", type=int, default=8,
+                   help="nodes of the moment-built Gauss rule for the limit integral")
 
     p = command("zeta", _cmd_zeta, "exact reciprocal zeta polynomial of a small graph", "--out")
     p.add_argument("--graph", required=True, help="P5, C3, K4, random:n,p,seed or file:PATH")
@@ -394,8 +434,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags a mode of a subcommand does not read: (command, dest, value) -> flags.
+_UNREAD_IN_MODE = {
+    ("moments", "theory", True): "--n --R --seed --trials --threads",
+    ("moments", "bounds", True): "--n --R --seed --trials --threads --format",
+    ("limits", "what", "fgrid"): "--v --points",
+    ("limits", "what", "density"): "--v-min --v-max --v-count",
+    ("limits", "what", "stieltjes"): "--points --v-min --v-max --v-count",
+}
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv, refusing a flag that the selected mode does not read."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    given = {token.partition("=")[0] for token in argv}
+    for (command, dest, value), flags in _UNREAD_IN_MODE.items():
+        unread = [f for f in flags.split() if f in given]
+        if args.command == command and getattr(args, dest) == value and unread:
+            mode = f"--{dest}" if value is True else f"--{dest} {value}"
+            parser.error(f"{command} {mode} does not read {', '.join(unread)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     return args.func(args)
 
 

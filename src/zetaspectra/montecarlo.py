@@ -15,10 +15,16 @@ import numpy as np
 
 from .moments import limit_moments
 from .percolation import Profile, build_h, sample_adjacency
-from .spectra import eigenvalue_summary, empirical_moment, log_prefactor_density
+from .spectra import (
+    SpectralSummary,
+    eigenvalue_summary,
+    empirical_moment,
+    log_prefactor_density,
+)
 
 __all__ = [
     "EnsembleResult",
+    "sample_spectrum",
     "run_trial",
     "run_ensemble",
     "ComparisonRow",
@@ -30,18 +36,14 @@ __all__ = [
 
 @dataclass
 class EnsembleResult:
-    """Per-trial spectral moments (rows) and degree statistics."""
+    """Per-trial spectral moments (rows) and log-prefactor densities."""
 
-    n: int
-    radius: float
     profile: Profile
     v: float
-    seed: int
     k_max: int
     moments: np.ndarray = field(repr=False)  # (trials, k_max + 1)
     prefactor_u: float = 0.3
     prefactors: np.ndarray = field(repr=False, default=None)  # (trials,)
-    mean_degrees: np.ndarray = field(repr=False, default=None)
 
     @property
     def trials(self) -> int:
@@ -57,6 +59,16 @@ class EnsembleResult:
         return self.moment_std(k) / math.sqrt(self.trials)
 
 
+def sample_spectrum(
+    n: int, radius: float, profile: Profile, v: float, seed: int
+) -> tuple[np.ndarray, SpectralSummary]:
+    """One seeded draw: its degree vector and the spectrum of its H."""
+    sample = sample_adjacency(n, radius, profile, seed)
+    degrees = sample.degrees()
+    h = build_h(sample.entries, degrees, v, profile.phi1)
+    return degrees, eigenvalue_summary(h, v=v, phi1=profile.phi1)
+
+
 def run_trial(
     n: int,
     radius: float,
@@ -66,17 +78,13 @@ def run_trial(
     k_max: int,
     prefactor_u: float = 0.3,
 ):
-    """One seeded draw: spectral moments 0..k_max plus degree statistics.
+    """One seeded draw: spectral moments 0..k_max and the log-prefactor density.
 
     One decomposition of H serves every moment order.
     """
-    sample = sample_adjacency(n, radius, profile, seed)
-    degrees = sample.degrees()
-    h = build_h(sample.entries, degrees, v, profile.phi1)
-    summary = eigenvalue_summary(h, v=v, phi1=profile.phi1)
+    degrees, summary = sample_spectrum(n, radius, profile, v, seed)
     moments = np.array([empirical_moment(summary, k) for k in range(k_max + 1)])
-    prefactor = log_prefactor_density(degrees, prefactor_u)
-    return moments, prefactor, sample.mean_degree()
+    return moments, log_prefactor_density(degrees, prefactor_u)
 
 
 def run_ensemble(
@@ -95,7 +103,6 @@ def run_ensemble(
         raise ValueError("trials must be >= 1")
     moments = np.empty((trials, k_max + 1))
     prefactors = np.empty(trials)
-    mean_degrees = np.empty(trials)
 
     def work(t: int):
         return run_trial(n, radius, profile, v, seed + t, k_max, prefactor_u=prefactor_u)
@@ -105,14 +112,12 @@ def run_ensemble(
             results = list(pool.map(work, range(trials)))
     else:
         results = [work(t) for t in range(trials)]
-    for t, (mom, pref, mdeg) in enumerate(results):
+    for t, (mom, pref) in enumerate(results):
         moments[t] = mom
         prefactors[t] = pref
-        mean_degrees[t] = mdeg
     return EnsembleResult(
-        n=n, radius=radius, profile=profile, v=v, seed=seed, k_max=k_max,
+        profile=profile, v=v, k_max=k_max,
         moments=moments, prefactor_u=prefactor_u, prefactors=prefactors,
-        mean_degrees=mean_degrees,
     )
 
 
@@ -146,7 +151,6 @@ def moment_comparison(result: EnsembleResult) -> list[ComparisonRow]:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    n: int
     n_vertices: int
     radius: float
     trials: int
@@ -168,13 +172,15 @@ def convergence_sweep(
     """Gap-versus-size table along R = ceil(r_scale * N^gamma).
 
     gamma must lie in (0, 1) so that R grows sublinearly in N.  trials may
-    be an int or a per-point sequence.
+    be an int or a sequence with one count per entry of n_values.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("violates sublinear radius growth: need 0 < gamma < 1")
     n_values = list(n_values)
     if isinstance(trials, int):
         trials = [trials] * len(n_values)
+    elif len(trials) != len(n_values):
+        raise ValueError(f"{len(trials)} trial counts for {len(n_values)} sizes")
     theory = limit_moments(k_max, v, profile.phi1)
     points = []
     for n, n_trials in zip(n_values, trials):
@@ -183,5 +189,5 @@ def convergence_sweep(
         result = run_ensemble(n, radius, profile, v, seed, n_trials, k_max, threads=threads)
         gaps = tuple(abs(result.moment_mean(k) - theory[k]) for k in range(k_max + 1))
         errs = tuple(result.moment_stderr(k) if k else 0.0 for k in range(k_max + 1))
-        points.append(SweepPoint(n, n_vertices, radius, n_trials, gaps, errs))
+        points.append(SweepPoint(n_vertices, radius, n_trials, gaps, errs))
     return points

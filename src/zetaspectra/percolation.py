@@ -113,9 +113,6 @@ class AdjacencySample:
     """
 
     n: int
-    radius: float
-    seed: int
-    profile: Profile
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -162,7 +159,7 @@ def sample_adjacency(n: int, radius: float, profile: Profile, seed: int) -> Adja
         m = N - 1 - i
         entries[i, i + 1 :] = rng.random(m) < p_by_offset[:m]
     entries = entries + entries.T
-    return AdjacencySample(n=n, radius=float(radius), seed=int(seed), profile=profile, entries=entries)
+    return AdjacencySample(n=n, entries=entries)
 
 
 def degree_vector(entries: np.ndarray) -> np.ndarray:

@@ -74,10 +74,9 @@ class Walk:
 
 @dataclass(frozen=True)
 class Diagram:
-    """Colored multigraph of a walk: ordered steps plus per-edge counts."""
+    """Colored multigraph of a walk: per-edge blue and red step counts."""
 
     vertex_count: int
-    steps: tuple[tuple[int, int, bool], ...]  # (src, dst, is_red) in step order
     edge_counts: dict  # {(lo, hi): (blue_multiplicity, red_multiplicity)}
 
 
@@ -90,7 +89,6 @@ def diagram_of_walk(walk: Walk) -> Diagram:
     """
     anchor = 1
     seen = 1
-    steps = []
     counts: dict[tuple[int, int], list[int]] = {}
     for idx in range(1, len(walk.letters)):
         target = walk.letters[idx]
@@ -103,12 +101,10 @@ def diagram_of_walk(walk: Walk) -> Diagram:
         key = (anchor, target) if anchor < target else (target, anchor)
         blue_red = counts.setdefault(key, [0, 0])
         blue_red[1 if red else 0] += 1
-        steps.append((anchor, target, red))
         if not red:
             anchor = target
     return Diagram(
         vertex_count=seen,
-        steps=tuple(steps),
         edge_counts={k: (b, r) for k, (b, r) in counts.items()},
     )
 

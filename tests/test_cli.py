@@ -1,11 +1,16 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zetaspectra import cli, moments, zeta
 from zetaspectra.cli import ExperimentConfig, load_config, main, save_config
+from zetaspectra.montecarlo import sample_spectrum
+from zetaspectra.percolation import Profile
+from zetaspectra.spectra import log_det_density
 
 
 def run_cli(args, capsys=None):
@@ -94,6 +99,47 @@ def test_unread_flag_is_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# flags that the selected mode of a subcommand does not read
+MODE_UNREAD_FLAGS = [
+    (["moments", "--theory", "--n", "5", "--trials", "9", "--seed", "3", "--kmax", "2"], "--n"),
+    (["moments", "--theory", "--R", "3"], "--R"),
+    (["moments", "--theory", "--threads", "2"], "--threads"),
+    (["moments", "--bounds", "--format", "json"], "--format"),
+    (["moments", "--theory", "--bounds"], "--bounds"),
+    (["limits", "--what", "fgrid", "--v", "7"], "--v"),
+    (["limits", "--what", "stieltjes", "--points", "5"], "--points"),
+    (["limits", "--what", "density", "--v-max=3"], "--v-max"),
+    (["limits", "--what", "stieltjes", "--v-count", "3"], "--v-count"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", MODE_UNREAD_FLAGS, ids=[f"{argv[0]}-{flag[2:]}" for argv, flag in MODE_UNREAD_FLAGS]
+)
+def test_mode_unread_flag_is_refused(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+SUBCOMMANDS = {"sample", "spectrum", "moments", "converge", "logdet", "zeta", "limits", "validate"}
+
+
+def test_readme_commands_parse():
+    # every `zetaspectra ...` recipe in the README, continuation lines joined,
+    # passes the parser and its mode check; every subcommand has one
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line)[1:]
+        for line in text.replace("\\\n", " ").splitlines()
+        if line.startswith("zetaspectra ")
+    ]
+    for argv in commands:
+        cli._parse_args(argv)
+    assert {argv[0] for argv in commands} == SUBCOMMANDS
+
+
 class TestSample:
     def test_deterministic_bytes_and_sidecar(self, tmp_path):
         out = tmp_path / "edges.txt"
@@ -137,6 +183,9 @@ class TestSpectrum:
         assert len(lines) == 42
         hist = (tmp_path / "spec.csv.hist.csv").read_text().strip().splitlines()
         assert hist[0] == "bin_left,bin_right,density"
+        assert len(hist) == 11
+        meta = json.loads((tmp_path / "spec.csv.hist.csv.meta.json").read_text())
+        assert meta["command"] == "spectrum"
         assert main(args) == 0
         assert out.read_text().strip().splitlines() == lines  # byte-stable
 
@@ -212,6 +261,50 @@ class TestConverge:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "N,R,trials,k,abs_gap,stderr"
         assert len(lines) == 7  # two sizes, k = 0..2
+
+    def test_trial_count_per_size(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = [
+            "converge", "--n-sweep", "8,16", "--trials", "3,2", "--kmax", "1",
+            "--out", str(out),
+        ]
+        assert main(args) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("17", "3"), ("17", "3"), ("33", "2"), ("33", "2")]
+        assert json.loads((tmp_path / "sweep.csv.meta.json").read_text())["command"] == "converge"
+
+    def test_trial_count_mismatch(self, capsys):
+        assert main(["converge", "--n-sweep", "8,16,32", "--trials", "3,3"]) == 2
+        assert "--n-sweep" in capsys.readouterr().err
+
+
+class TestLogdet:
+    def test_row_and_sidecar(self, tmp_path):
+        out = tmp_path / "logdet.csv"
+        args = [
+            "logdet", "--n", "20", "--R", "3", "--v", "0.5", "--trials", "3",
+            "--gauss-points", "2", "--seed", "4", "--out", str(out),
+        ]
+        assert main(args) == 0
+        header, line = out.read_text().strip().splitlines()
+        assert header == (
+            "N,R,v,phi1,trials,logdet_mean,logdet_stderr,gauss_points,limit_integral,gap"
+        )
+        row = dict(zip(header.split(","), map(float, line.split(","))))
+        assert (row["N"], row["trials"], row["gauss_points"]) == (41, 3, 2)
+        assert row["gap"] == pytest.approx(row["logdet_mean"] - row["limit_integral"], abs=1e-14)
+        assert row["logdet_stderr"] > 0
+        # trial t samples seed + t, as in `moments`
+        profile = Profile.from_name("gauss", 0.5)
+        values = [
+            log_det_density(sample_spectrum(20, 3.0, profile, 0.5, seed)[1]) for seed in (4, 5, 6)
+        ]
+        assert row["logdet_mean"] == pytest.approx(np.mean(values), rel=1e-14)
+        assert json.loads((tmp_path / "logdet.csv.meta.json").read_text())["command"] == "logdet"
+
+    def test_single_trial_rejected(self, capsys):
+        assert main(["logdet", "--n", "10", "--trials", "1"]) == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestZeta:

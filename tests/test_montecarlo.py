@@ -12,10 +12,7 @@ from zetaspectra.montecarlo import (
 
 def ensemble_of(moments, profile):
     moments = np.array(moments, dtype=float)
-    return EnsembleResult(
-        n=1, radius=1.0, profile=profile, v=1.0, seed=0,
-        k_max=moments.shape[1] - 1, moments=moments,
-    )
+    return EnsembleResult(profile=profile, v=1.0, k_max=moments.shape[1] - 1, moments=moments)
 
 
 class TestEnsembleResult:
@@ -34,9 +31,9 @@ class TestEnsembleResult:
 
 class TestRunTrial:
     def test_reproducible(self, gauss_profile):
-        m1, p1, d1 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
-        m2, p2, d2 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
-        assert np.array_equal(m1, m2) and p1 == p2 and d1 == d2
+        m1, p1 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
+        m2, p2 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
+        assert np.array_equal(m1, m2) and p1 == p2
 
 
 class TestRunEnsemble:
@@ -75,6 +72,12 @@ class TestConvergenceSweep:
             assert pt.radius >= 1.0
             assert len(pt.gaps) == 3
             assert pt.gaps[0] == 0.0
+
+    def test_trial_counts_per_size(self, gauss_profile):
+        points = convergence_sweep([8, 16], 0.5, gauss_profile, 1.0, seed=1, trials=[2, 3], k_max=1)
+        assert [(pt.n_vertices, pt.trials) for pt in points] == [(17, 2), (33, 3)]
+        with pytest.raises(ValueError, match="3 sizes"):
+            convergence_sweep([8, 16, 32], 0.5, gauss_profile, 1.0, seed=1, trials=[3], k_max=1)
 
     def test_radius_rule(self, gauss_profile):
         (pt,) = convergence_sweep(

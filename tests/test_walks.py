@@ -133,7 +133,7 @@ class TestDiagrams:
             diagram_weight(diagram, 1.0, 1.0)
 
     def test_odd_blue_multiplicity_not_tree(self):
-        diagram = Diagram(vertex_count=2, steps=((1, 2, False),), edge_counts={(1, 2): (1, 0)})
+        diagram = Diagram(vertex_count=2, edge_counts={(1, 2): (1, 0)})
         assert not is_tree_type(diagram)
 
     def test_malformed_walks_rejected(self):
