@@ -183,11 +183,23 @@ class TestSpectrum:
         assert len(lines) == 42
         hist = (tmp_path / "spec.csv.hist.csv").read_text().strip().splitlines()
         assert hist[0] == "bin_left,bin_right,density"
-        assert len(hist) == 11
-        meta = json.loads((tmp_path / "spec.csv.hist.csv.meta.json").read_text())
-        assert meta["command"] == "spectrum"
         assert main(args) == 0
         assert out.read_text().strip().splitlines() == lines  # byte-stable
+
+    def test_histogram_and_semicircle(self, tmp_path):
+        # The histogram of one spectrum next to the limiting semicircle density.
+        out = tmp_path / "spec.csv"
+        assert main([
+            "spectrum", "--n", "50", "--out", str(out), "--hist-bins", "10",
+        ]) == 0
+        hist = (tmp_path / "spec.csv.hist.csv").read_text().strip().splitlines()
+        assert hist[0] == "bin_left,bin_right,density"
+        assert len(hist) == 1 + 10
+        meta = json.loads((tmp_path / "spec.csv.hist.csv.meta.json").read_text())
+        assert meta["command"] == "spectrum"
+        density = tmp_path / "semicircle.csv"
+        assert main(["limits", "--what", "density", "--out", str(density)]) == 0
+        assert density.read_text().splitlines()[0] == "lambda,density"
 
     def test_fifteen_digit_output(self, tmp_path):
         out = tmp_path / "spec.csv"
