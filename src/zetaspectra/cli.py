@@ -15,7 +15,7 @@ from . import graphs, limits, moments, percolation, spectra, zeta
 from .montecarlo import convergence_sweep, moment_comparison, run_ensemble, sample_spectrum
 from .validate import run_validation
 
-__all__ = ["main", "ExperimentConfig", "load_config", "save_config"]
+__all__ = ["main", "ExperimentConfig"]
 
 
 def _fmt(x) -> str:
@@ -44,8 +44,6 @@ class ExperimentConfig:
             raise ValueError("R must be >= 1")
         if not 0.0 < self.amplitude < 1.0:
             raise ValueError("amplitude must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if self.fmt not in ("csv", "json"):
@@ -56,13 +54,6 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for f in dataclasses.fields(ExperimentConfig):
-            value = getattr(config, f.name)
-            fh.write(f"{f.name}={_fmt(value) if isinstance(value, float) else value}\n")
 
 
 def _read_config(path) -> dict:
@@ -83,14 +74,10 @@ def _read_config(path) -> dict:
     return items
 
 
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig(**_read_config(path))
-
-
 def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
     meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "argv": [a for a in sys.argv[1:]],
+        "argv": args.argv,
         "command": args.command,
     }
     with open(out_path + ".meta.json", "w", encoding="ascii") as fh:
@@ -228,9 +215,6 @@ def _cmd_moments(args) -> int:
         )
         _emit(_table(rows, ["k", "m_k", "ell_k", "mu_k"], cfg.fmt), cfg.out, args)
         return 0
-    if cfg.trials < 2:
-        print("empirical moments need --trials >= 2", file=sys.stderr)
-        return 2
     result = run_ensemble(
         cfg.n, cfg.radius, profile, cfg.v, cfg.seed, cfg.trials, cfg.k_max,
         threads=args.threads,
@@ -246,15 +230,11 @@ def _cmd_moments(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _resolve_config(args)
-    if args.gamma >= 1.0:
-        print("violates R = o(N): need gamma < 1", file=sys.stderr)
-        return 2
     trials = args.trial_counts or [cfg.trials]
     if len(trials) == 1:
         trials = trials * len(args.n_sweep)
     if len(trials) != len(args.n_sweep):
-        print("--trials needs one count, or one per --n-sweep entry", file=sys.stderr)
-        return 2
+        raise ValueError("--trials needs one count, or one per --n-sweep entry")
     points = convergence_sweep(
         args.n_sweep,
         args.gamma,
@@ -278,10 +258,13 @@ def _cmd_converge(args) -> int:
 def _cmd_logdet(args) -> int:
     cfg = _resolve_config(args)
     if cfg.trials < 2:
-        print("the log-det mean needs --trials >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("the log-det mean needs --trials >= 2")
     profile = cfg.make_profile()
     v, phi1 = cfg.v, profile.phi1
+    if v * v >= phi1:
+        # H has the eigenvalue 0 at any isolated vertex, so a shift
+        # 1 - v^2/phi1 <= 0 puts the sampled log-det at a crossing
+        raise ValueError(f"--v {v:g} needs v^2 < phi1 = {phi1:.6g} for a positive shift")
     # the limit measure is known through its moments: integrate
     # log(shift + lambda) against the Gauss rule they determine
     nodes, weights = limits.gauss_rule_from_moments(
@@ -458,8 +441,15 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    return args.func(args)
+    """Run one subcommand; a value it refuses exits 2 with the reason on stderr."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_args(argv)
+    args.argv = argv
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"zetaspectra {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

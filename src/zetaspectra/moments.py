@@ -13,16 +13,15 @@ table up to a maximal order; lower orders are prefixes of it.
 * dense limits: as phi1 -> infinity the arrays collapse to the moments of a
   semicircle distribution shifted by v^2 (dense_moments, catalan_moment).
 
-Two independent routes compute the tree weights: the flattened five-fold
-recurrence (tree_weight_table) and its factored form through the first-edge
-decomposition (tree_weight_split).  They must agree to rounding error; the
-brute-force enumeration oracle lives in the walks module.
+Both tables are one root-exit composition (_compose).  Criterion 02 checks
+it and its first-edge cache against the plain loop tree_weight_split; the
+independent route is the brute-force enumeration oracle in the walks module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "extended_binomial",
@@ -87,45 +86,40 @@ def _check_params(phi1: float) -> None:
         raise ValueError(f"phi1 must be positive, got {phi1}")
 
 
-def tree_weight_table(k_max: int, v: float, phi1: float) -> list[list[float]]:
-    """Triangular table T[k][r] of tree-type walk weights, 0 <= r <= k <= k_max.
-
-    Row 0 is the empty walk: T[0][0] = 1 and T[k][0] = 0 for k >= 1.  The
-    five-fold sum splits a walk at its first root edge: g root steps along
-    it, an s-step remainder at the root, w doubled (paired) traversals, h
-    out-and-back excursions from the far endpoint back to the root, and a
-    t-branch sub-walk hanging off the far endpoint.
-    """
-    _check_params(phi1)
+def _compose(k_max: int, first_edge, exit_scale) -> list[list[float]]:
+    """T[k][r] = sum_g sum_s exit_scale(g) C(r-1, g-1) T[s][r-g] F(k-s, g) for
+    0 <= r <= k <= k_max, T[0][0] = 1.  Each F(k, g) = first_edge(table, k, g)
+    reads rows below k only and is computed once, at the start of row k."""
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    v2 = v * v
+        raise ValueError(f"order must be >= 0, got {k_max}")
     table = [[0.0] * (k + 1) for k in range(k_max + 1)]
     table[0][0] = 1.0
+    firsts = [[]]
     for k in range(1, k_max + 1):
+        firsts.append([0.0] + [first_edge(table, k, g) for g in range(1, k + 1)])
         for r in range(1, k + 1):
             total = 0.0
             for g in range(1, r + 1):
+                # the scale stays a factor of its own, multiplied in this
+                # order: folded into F it changes the last bits of the tables
+                coef = exit_scale(g) * extended_binomial(r - 1, g - 1)
                 for s in range(r - g, k - g + 1):
-                    outer = extended_binomial(r - 1, g - 1) * table[s][r - g]
-                    if outer == 0.0:
+                    left = table[s][r - g]
+                    if left == 0.0:
                         continue
-                    inner = 0.0
-                    for w in range(0, g + 1):
-                        cgw = extended_binomial(g, w)
-                        for h in range(0, k - s - g - w + 1):
-                            c_wh = extended_binomial(w + h - 1, h)
-                            if c_wh == 0:
-                                continue
-                            scale = v2 ** (g + h) / phi1 ** (g + h - 1) * cgw * c_wh
-                            for t in range(0, k - s - g - w - h + 1):
-                                c_t = extended_binomial(w + h + t - 1, t)
-                                if c_t == 0:
-                                    continue
-                                inner += scale * c_t * table[k - s - g - w - h][t]
-                    total += outer * inner
+                    total += coef * left * firsts[k - s][g]
             table[k][r] = total
     return table
+
+
+def tree_weight_table(k_max: int, v: float, phi1: float) -> list[list[float]]:
+    """Triangular table T[k][r] of tree-type walk weights, 0 <= r <= k <= k_max:
+    walks of k steps split at their first root edge into g root steps along
+    it, an s-step remainder at the root, and the first-edge rest."""
+    _check_params(phi1)
+    return _compose(
+        k_max, lambda table, ks, g: _first_edge_weight_from(table, ks, g, v, phi1), lambda g: 1.0
+    )
 
 
 def first_edge_weight(ks: int, g: int, v: float, phi1: float) -> float:
@@ -142,11 +136,14 @@ def first_edge_weight(ks: int, g: int, v: float, phi1: float) -> float:
 
 
 def _first_edge_weight_from(table, ks: int, g: int, v: float, phi1: float) -> float:
+    """ks-step walks with g root steps along the first root edge, w doubled
+    (paired) traversals, h out-and-back excursions from the far endpoint
+    back to the root, and a t-branch sub-walk hanging off the far endpoint."""
     v2 = v * v
     total = 0.0
     for w in range(0, g + 1):
         cgw = extended_binomial(g, w)
-        for h in range(0, ks - g + 1):
+        for h in range(0, ks - g - w + 1):
             c_wh = extended_binomial(w + h - 1, h)
             if c_wh == 0:
                 continue
@@ -160,9 +157,10 @@ def _first_edge_weight_from(table, ks: int, g: int, v: float, phi1: float) -> fl
 
 
 def tree_weight_split(k_max: int, v: float, phi1: float) -> list[list[float]]:
-    """Tree walk weight table by the two-stage route: first-edge decomposition
-    composed with the single-edge weights.  Must equal tree_weight_table
-    exactly up to float rounding; kept as an independent code path."""
+    """Tree walk weight table by the plain root-exit loop, recomputing the
+    first-edge weight per term: the reference that criterion 02 checks
+    _compose and its cache against.  It shares _first_edge_weight_from with
+    tree_weight_table, so it is no independent derivation."""
     _check_params(phi1)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -191,28 +189,18 @@ def limit_moments(k_max: int, v: float, phi1: float) -> list[float]:
 
 
 def adjacency_weight_table(p_max: int, v: float, phi1: float) -> list[list[float]]:
-    """Triangular table of root-exit-resolved adjacency walk weights."""
+    """Triangular table of root-exit-resolved adjacency walk weights, with
+    exit scale v^(2g)/phi1^(g-1) and F(ps, g) = sum_t C(g+t-1, t) A[ps-g][t]."""
     _check_params(phi1)
-    if p_max < 0:
-        raise ValueError("p_max must be >= 0")
     v2 = v * v
-    table = [[0.0] * (p + 1) for p in range(p_max + 1)]
-    table[0][0] = 1.0
-    for p in range(1, p_max + 1):
-        for r in range(1, p + 1):
-            total = 0.0
-            for g in range(1, r + 1):
-                coef = v2**g / phi1 ** (g - 1) * extended_binomial(r - 1, g - 1)
-                for s in range(r - g, p - g + 1):
-                    left = table[s][r - g]
-                    if left == 0.0:
-                        continue
-                    inner = 0.0
-                    for t in range(0, p - s - g + 1):
-                        inner += extended_binomial(g + t - 1, t) * table[p - s - g][t]
-                    total += coef * left * inner
-            table[p][r] = total
-    return table
+
+    def first_edge(table, ps, g):
+        inner = 0.0
+        for t in range(0, ps - g + 1):
+            inner += extended_binomial(g + t - 1, t) * table[ps - g][t]
+        return inner
+
+    return _compose(p_max, first_edge, lambda g: v2**g / phi1 ** (g - 1))
 
 
 def adjacency_moments(k_max: int, v: float, phi1: float) -> list[float]:
@@ -301,13 +289,7 @@ class BoundReport:
     ratios: list[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "constant": self.constant,
-            "order_max": self.order_max,
-            "tightest_ratio": self.tightest_ratio,
-            "ratios": list(self.ratios),
-        }
+        return asdict(self)
 
 
 def adjacency_bound_report(p_max: int, constant: float, v: float, phi1: float) -> BoundReport:

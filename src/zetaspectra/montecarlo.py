@@ -98,9 +98,13 @@ def run_ensemble(
     prefactor_u: float = 0.3,
     threads: int = 1,
 ) -> EnsembleResult:
-    """Independent trials with per-trial seeds seed + trial index."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    """Independent trials with per-trial seeds seed + trial index.
+
+    Every reader of the result takes a ddof=1 standard deviation, so at
+    least two trials are needed.
+    """
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
     moments = np.empty((trials, k_max + 1))
     prefactors = np.empty(trials)
 
@@ -175,7 +179,7 @@ def convergence_sweep(
     be an int or a sequence with one count per entry of n_values.
     """
     if not 0.0 < gamma < 1.0:
-        raise ValueError("violates sublinear radius growth: need 0 < gamma < 1")
+        raise ValueError("violates sublinear radius growth R = o(N): need 0 < gamma < 1")
     n_values = list(n_values)
     if isinstance(trials, int):
         trials = [trials] * len(n_values)

@@ -81,6 +81,9 @@ def check_oracle_vs_recurrence(k_max: int = 8) -> CheckResult:
 
 
 def check_route_equivalence(k_max: int = 10) -> CheckResult:
+    """The shared root-exit composition and its first-edge cache against the
+    plain loop that recomputes each first-edge weight; both use the same
+    first-edge sum, so this is no independent route (the walk oracle is)."""
     worst = 0.0
     for v, phi1 in VALIDATION_GRID:
         table = moments.tree_weight_table(k_max, v, phi1)

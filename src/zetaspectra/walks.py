@@ -43,12 +43,11 @@ __all__ = [
     "parse_walk",
 ]
 
-DEFAULT_BUDGET = 8
-HARD_BUDGET = 10
+MAX_STEPS = 8
 
 
 class WalkBudgetError(ValueError):
-    """Enumeration request beyond the step budget."""
+    """Enumeration request outside 1..MAX_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def is_valid_tree_walk(walk: Walk) -> bool:
     return is_tree_type(diagram)
 
 
-def enumerate_tree_walks(k: int, budget: int = DEFAULT_BUDGET) -> list[Walk]:
+def enumerate_tree_walks(k: int) -> list[Walk]:
     """All tree-type closed walks of exactly k steps, lexicographic order.
 
     The search is depth-first over (target letter, ordinary or generalized)
@@ -187,10 +186,8 @@ def enumerate_tree_walks(k: int, budget: int = DEFAULT_BUDGET) -> list[Walk]:
     steps (the tree distance to the root equals the number of odd blue
     multiplicities, so this prune also enforces evenness).
     """
-    if budget > HARD_BUDGET:
-        raise WalkBudgetError(f"budget above {HARD_BUDGET} steps is not supported")
-    if not 1 <= k <= budget:
-        raise WalkBudgetError(f"k={k} outside enumeration budget 1..{budget}")
+    if not 1 <= k <= MAX_STEPS:
+        raise WalkBudgetError(f"k={k} outside enumeration budget 1..{MAX_STEPS}")
 
     walks: list[Walk] = []
     letters = [1]
@@ -234,7 +231,7 @@ def enumerate_tree_walks(k: int, budget: int = DEFAULT_BUDGET) -> list[Walk]:
 
 
 @lru_cache(maxsize=None)
-def walk_profile(k: int, budget: int = DEFAULT_BUDGET):
+def walk_profile(k: int):
     """Aggregate the k-step walk stream by (root exits, total edge order q,
     edge count E); the weight of each class is v^(2q) * phi1^(E - q).
 
@@ -242,30 +239,30 @@ def walk_profile(k: int, budget: int = DEFAULT_BUDGET):
     cached per k.
     """
     profile: Counter = Counter()
-    for walk in enumerate_tree_walks(k, budget=budget):
+    for walk in enumerate_tree_walks(k):
         diagram = diagram_of_walk(walk)
         q = sum(b // 2 + r for b, r in diagram.edge_counts.values())
         profile[(root_exit_count(walk), q, len(diagram.edge_counts))] += 1
     return dict(profile)
 
 
-def oracle_tree_weight(k: int, r: int, v: float, phi1: float, budget: int = DEFAULT_BUDGET) -> float:
+def oracle_tree_weight(k: int, r: int, v: float, phi1: float) -> float:
     """Enumeration-backed total weight of k-step tree walks with r root exits."""
     if k == 0 or r == 0:
         return 1.0 if k == 0 and r == 0 else 0.0
     total = 0.0
-    for (exits, q, n_edges), count in sorted(walk_profile(k, budget).items()):
+    for (exits, q, n_edges), count in sorted(walk_profile(k).items()):
         if exits == r:
             total += count * v ** (2 * q) * phi1 ** (n_edges - q)
     return total
 
 
-def oracle_moment(k: int, v: float, phi1: float, budget: int = DEFAULT_BUDGET) -> float:
+def oracle_moment(k: int, v: float, phi1: float) -> float:
     """Enumeration-backed limiting moment: sum over all root-exit counts."""
     if k == 0:
         return 1.0
     total = 0.0
-    for (exits, q, n_edges), count in sorted(walk_profile(k, budget).items()):
+    for (exits, q, n_edges), count in sorted(walk_profile(k).items()):
         total += count * v ** (2 * q) * phi1 ** (n_edges - q)
     return total
 
@@ -278,9 +275,9 @@ def format_walk(walk: Walk) -> str:
     return " ".join(tokens)
 
 
-def dump_walks(k: int, budget: int = DEFAULT_BUDGET) -> str:
+def dump_walks(k: int) -> str:
     """One walk per line in enumeration order; stable, usable as a golden file."""
-    return "\n".join(format_walk(w) for w in enumerate_tree_walks(k, budget=budget)) + "\n"
+    return "\n".join(format_walk(w) for w in enumerate_tree_walks(k)) + "\n"
 
 
 def parse_walk(text: str) -> Walk:

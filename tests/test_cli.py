@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetaspectra import cli, moments, zeta
-from zetaspectra.cli import ExperimentConfig, load_config, main, save_config
+from zetaspectra.cli import ExperimentConfig, main
 from zetaspectra.montecarlo import sample_spectrum
 from zetaspectra.percolation import Profile
 from zetaspectra.spectra import log_det_density
@@ -18,15 +18,6 @@ def run_cli(args, capsys=None):
 
 
 class TestConfig:
-    def test_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(
-            n=77, radius=3.5, profile="lorentz", amplitude=0.25, v=1.75,
-            seed=42, trials=9, k_max=6, out="x.csv", fmt="json",
-        )
-        path = tmp_path / "run.cfg"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=0)
@@ -41,7 +32,7 @@ class TestConfig:
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
-        save_config(ExperimentConfig(n=5, seed=1), path)
+        path.write_text("n=5\nseed=1\n")
         out = tmp_path / "a.txt"
         assert main(["sample", "--config", str(path), "--seed", "7", "--out", str(out)]) == 0
         first = out.read_bytes()
@@ -49,9 +40,9 @@ class TestConfig:
         assert out.read_bytes() == first
 
     def test_config_file_seed_beats_zs_seed(self, tmp_path, monkeypatch):
-        # a saved config replays its own seed whatever ZS_SEED says
+        # a config file replays its own seed whatever ZS_SEED says
         path = tmp_path / "run.cfg"
-        save_config(ExperimentConfig(n=6, seed=5), path)
+        path.write_text("n=6\nseed=5\n")
         out1, out2, out3 = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
         monkeypatch.setenv("ZS_SEED", "7")
         assert main(["sample", "--config", str(path), "--out", str(out1)]) == 0
@@ -123,6 +114,25 @@ def test_mode_unread_flag_is_refused(argv, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+# values a subcommand refuses: exit 2 with the reason, no traceback
+BAD_VALUES = [
+    (["converge", "--n-sweep", "8", "--trials", "1", "--kmax", "1"], ">= 2"),
+    (["converge", "--n-sweep", "8", "--trials", "0"], ">= 2"),
+    (["converge", "--gamma", "0"], "o(N)"),
+    (["sample", "--n", "0"], "n must be"),
+    (["limits", "--what", "density", "--v", "0"], "v = 0"),
+    (["zeta", "--graph", "C2"], "at least 3"),
+    (["logdet"], "--v 1 "),
+]
+
+
+@pytest.mark.parametrize("argv,reason", BAD_VALUES, ids=[" ".join(a) for a, _ in BAD_VALUES])
+def test_bad_value_is_refused(argv, reason, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"zetaspectra {argv[0]}: error: ") and reason in err
+
+
 SUBCOMMANDS = {"sample", "spectrum", "moments", "converge", "logdet", "zeta", "limits", "validate"}
 
 
@@ -150,6 +160,7 @@ class TestSample:
         assert out.read_bytes() == first
         meta = json.loads((tmp_path / "edges.txt.meta.json").read_text())
         assert meta["command"] == "sample"
+        assert meta["argv"] == args  # what main was given, not the host's sys.argv
 
     def test_near_empty_for_tiny_amplitude(self, tmp_path):
         out = tmp_path / "edges.txt"

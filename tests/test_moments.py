@@ -101,7 +101,22 @@ class TestFirstEdgeWeight:
             first_edge_weight(2, 0, 1.0, 1.0)
 
 
+# At v = phi1 = 1 every weight is an integer count; frozen from the tables
+# as built before the root-exit composition was shared.
+UNIT_TREE_MOMENTS = [
+    1, 1, 3, 11, 46, 212, 1055, 5595, 31347, 184455, 1135393, 7290791, 48748739,
+    338967059, 2448907161, 18370737441, 143017800382,
+]
+UNIT_ADJACENCY_MOMENTS = [
+    1, 0, 1, 0, 3, 0, 12, 0, 57, 0, 303, 0, 1747, 0, 10727, 0, 69331, 0, 467963, 0,
+    3280353, 0, 23785699, 0, 177877932,
+]
+
+
 class TestLimitMoments:
+    def test_exact_counts_at_unit_parameters(self):
+        assert limit_moments(16, 1.0, 1.0) == UNIT_TREE_MOMENTS
+
     def test_normalization_and_first_moments(self):
         for v, phi1 in [(0.5, 1.0), (1.0, 0.8862269254527579), (2.0, 4.0)]:
             ms = limit_moments(4, v, phi1)
@@ -120,6 +135,9 @@ class TestLimitMoments:
 
 
 class TestAdjacencyWeights:
+    def test_exact_counts_at_unit_parameters(self):
+        assert adjacency_moments(24, 1.0, 1.0) == UNIT_ADJACENCY_MOMENTS
+
     def test_initial_conditions_and_hand_values(self):
         v, phi1 = 1.3, 0.7
         table = adjacency_weight_table(2, v, phi1)

@@ -56,6 +56,9 @@ class TestRunEnsemble:
     def test_trials_must_be_positive(self, gauss_profile):
         with pytest.raises(ValueError):
             run_ensemble(10, 2.0, gauss_profile, 1.0, seed=0, trials=0, k_max=2)
+        # every reader takes a ddof=1 standard deviation
+        with pytest.raises(ValueError, match=">= 2"):
+            run_ensemble(10, 2.0, gauss_profile, 1.0, seed=0, trials=1, k_max=2)
 
 
 class TestConvergenceSweep:
