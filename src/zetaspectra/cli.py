@@ -267,9 +267,12 @@ def _cmd_logdet(args) -> int:
         raise ValueError(f"--v {v:g} needs v^2 < phi1 = {phi1:.6g} for a positive shift")
     # the limit measure is known through its moments: integrate
     # log(shift + lambda) against the Gauss rule they determine
-    nodes, weights = limits.gauss_rule_from_moments(
-        moments.limit_moments(2 * args.gauss_points, v, phi1)
-    )
+    try:
+        nodes, weights = limits.gauss_rule_from_moments(
+            moments.limit_moments(2 * args.gauss_points, v, phi1)
+        )
+    except ValueError as exc:
+        raise ValueError(f"--gauss-points {args.gauss_points}: {exc}") from None
     integral = float(np.sum(weights * np.log(1.0 - v * v / phi1 + nodes)))
     values = np.array([
         spectra.log_det_density(sample_spectrum(cfg.n, cfg.radius, profile, v, cfg.seed + t)[1])

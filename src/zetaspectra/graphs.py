@@ -61,7 +61,13 @@ def is_connected(adj: np.ndarray) -> bool:
 
 
 def random_connected_graph(n: int, edge_prob: float, seed: int, max_tries: int = 1000) -> np.ndarray:
-    """Rejection-sample a simple connected graph with iid edges."""
+    """Rejection-sample a simple connected graph with iid edges.
+
+    Refuses edge_prob <= 0 on two or more vertices, where no draw can be
+    connected, and raises ValueError when max_tries draws all fail.
+    """
+    if n >= 2 and edge_prob <= 0.0:
+        raise ValueError(f"no connected graph on {n} vertices with edge probability {edge_prob}")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         upper = rng.random((n, n)) < edge_prob
@@ -69,7 +75,7 @@ def random_connected_graph(n: int, edge_prob: float, seed: int, max_tries: int =
         adj = adj + adj.T
         if is_connected(adj):
             return adj
-    raise RuntimeError(f"no connected graph found in {max_tries} tries (p={edge_prob})")
+    raise ValueError(f"no connected graph found in {max_tries} tries (p={edge_prob})")
 
 
 def read_edge_list(path) -> np.ndarray:

@@ -145,7 +145,13 @@ def gauss_rule_from_moments(moments) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need an odd number of moments m_0..m_{2Q}, Q >= 1")
     q = (moments.size - 1) // 2
     hankel = np.array([[moments[i + j] for j in range(q + 1)] for i in range(q + 1)])
-    chol = np.linalg.cholesky(hankel).T  # upper triangular
+    try:
+        chol = np.linalg.cholesky(hankel).T  # upper triangular
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"the moment Hankel matrix of the {q}-point Gauss rule is not positive definite "
+            f"in floating point (condition number {np.linalg.cond(hankel):.3g})"
+        ) from None
     alpha = np.empty(q)
     beta = np.empty(q - 1) if q > 1 else np.empty(0)
     alpha[0] = chol[0, 1] / chol[0, 0]

@@ -185,6 +185,9 @@ def convergence_sweep(
         trials = [trials] * len(n_values)
     elif len(trials) != len(n_values):
         raise ValueError(f"{len(trials)} trial counts for {len(n_values)} sizes")
+    # run_ensemble refuses fewer than two trials; refuse before any size is sampled
+    if min(trials, default=2) < 2:
+        raise ValueError(f"trials must be >= 2 for a standard error, got {min(trials)}")
     theory = limit_moments(k_max, v, profile.phi1)
     points = []
     for n, n_trials in zip(n_values, trials):

@@ -171,7 +171,7 @@ def build_h(entries: np.ndarray, degrees: np.ndarray, v: float, phi1: float) -> 
     """Assemble (v^2/phi1) diag(degrees) - (v/sqrt(phi1)) A as float64."""
     if phi1 <= 0.0:
         raise ValueError(f"phi1 must be positive, got {phi1}")
-    h = np.asarray(entries, dtype=float) * (-v / math.sqrt(phi1))
+    h = np.multiply(entries, -v / math.sqrt(phi1), dtype=float)
     idx = np.arange(h.shape[0])
     h[idx, idx] = (v * v / phi1) * np.asarray(degrees, dtype=float)
     return h

@@ -122,6 +122,8 @@ BAD_VALUES = [
     (["sample", "--n", "0"], "n must be"),
     (["limits", "--what", "density", "--v", "0"], "v = 0"),
     (["zeta", "--graph", "C2"], "at least 3"),
+    (["zeta", "--graph", "random:3,0,1"], "no connected graph on 3 vertices"),
+    (["zeta", "--graph", "random:10,0.01,1"], "no connected graph found in 1000 tries"),
     (["logdet"], "--v 1 "),
 ]
 
@@ -328,6 +330,13 @@ class TestLogdet:
     def test_single_trial_rejected(self, capsys):
         assert main(["logdet", "--n", "10", "--trials", "1"]) == 2
         assert "--trials" in capsys.readouterr().err
+
+    def test_ill_conditioned_rule_names_flag(self, capsys):
+        # the float Hankel Cholesky of the 24-point rule fails at v = 0.9
+        assert main(["logdet", "--v", "0.9", "--n", "5", "--gauss-points", "24"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zetaspectra logdet: error: --gauss-points 24: ")
+        assert "24-point" in err and "condition number" in err
 
 
 class TestZeta:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zetaspectra import montecarlo
 from zetaspectra.montecarlo import (
     EnsembleResult,
     convergence_sweep,
@@ -81,6 +82,19 @@ class TestConvergenceSweep:
         assert [(pt.n_vertices, pt.trials) for pt in points] == [(17, 2), (33, 3)]
         with pytest.raises(ValueError, match="3 sizes"):
             convergence_sweep([8, 16, 32], 0.5, gauss_profile, 1.0, seed=1, trials=[3], k_max=1)
+
+    def test_trial_counts_checked_before_sampling(self, gauss_profile, monkeypatch):
+        draws = []
+        real = montecarlo.sample_adjacency
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_adjacency", counted)
+        with pytest.raises(ValueError, match=">= 2"):
+            convergence_sweep([150, 4], 0.5, gauss_profile, 1.0, seed=1, trials=[3, 1], k_max=1)
+        assert draws == []
 
     def test_radius_rule(self, gauss_profile):
         (pt,) = convergence_sweep(

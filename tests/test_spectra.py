@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from zetaspectra.graphs import cycle_graph
-from zetaspectra.percolation import build_h, degree_vector, sample_adjacency
+from zetaspectra.percolation import Profile, build_h, degree_vector, sample_adjacency
 from zetaspectra.spectra import (
     SpectralSummary,
     counting_function,
@@ -33,8 +34,14 @@ class TestEigenvalueSummary:
         assert np.allclose(s.eigenvalues, [0.0, 2.0])
 
     def test_rejects_asymmetric(self):
+        # an entry whose transpose is zero: it alone joins two isolated vertices
         m = np.zeros((3, 3))
         m[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalue_summary(m, v=1.0, phi1=1.0)
+        # a perturbed entry inside a block of a block-diagonal matrix
+        m = block_diag(np.eye(2), np.ones((3, 3)), [[4.0]])
+        m[3, 4] += 1e-9
         with pytest.raises(ValueError, match="not symmetric"):
             eigenvalue_summary(m, v=1.0, phi1=1.0)
 
@@ -52,6 +59,44 @@ class TestEigenvalueSummary:
         for j in (0, len(vals) // 2, len(vals) - 1):
             residual = np.linalg.norm(h @ vecs[:, j] - vals[j] * vecs[:, j])
             assert residual <= 1e-10 * max(norm, 1.0)
+
+
+def assert_matches_dense(h):
+    # the block route against one dense solve of the whole matrix
+    dense = np.linalg.eigvalsh(h)
+    eigs = eigenvalue_summary(h, v=1.0, phi1=1.0).eigenvalues
+    assert eigs.shape == dense.shape
+    assert np.all(np.diff(eigs) >= 0.0)
+    assert np.max(np.abs(eigs - dense)) <= 1e-12 * max(1.0, np.abs(dense).max())
+
+
+class TestBlockRouteAgainstDense:
+    @pytest.mark.parametrize("family,amplitude,v", [("gauss", 0.5, 1.0), ("exp", 0.9, 0.5)])
+    def test_sampled_h(self, family, amplitude, v):
+        # subcritical forest (gauss, phi1 ~ 0.89) and supercritical giant (exp, phi1 = 1.8)
+        profile = Profile.from_name(family, amplitude)
+        sample = sample_adjacency(200, 20.0, profile, seed=31)
+        assert_matches_dense(build_h(sample.entries, sample.degrees(), v, profile.phi1))
+
+    def test_permuted_block_matrix(self, rng):
+        blocks = []
+        for size in (1, 1, 2, 2, 2, 3, 5, 5, 8, 13):
+            b = rng.standard_normal((size, size))
+            blocks.append(b + b.T)
+        h = block_diag(*blocks)
+        perm = rng.permutation(h.shape[0])
+        assert_matches_dense(h[np.ix_(perm, perm)])
+
+    def test_all_isolated(self):
+        diagonal = np.array([3.0, -1.0, 0.0, 2.5, -1.0])
+        s = eigenvalue_summary(np.diag(diagonal), v=1.0, phi1=1.0)
+        assert np.array_equal(s.eigenvalues, np.sort(diagonal))
+        assert s.trace_check == 0.0
+
+    def test_one_by_one_and_empty(self):
+        assert np.array_equal(eigenvalue_summary(np.array([[2.5]]), 1.0, 1.0).eigenvalues, [2.5])
+        empty = eigenvalue_summary(np.zeros((0, 0)), 1.0, 1.0)
+        assert empty.size == 0 and empty.trace_check == 0.0
 
 
 class TestCountingFunction:
