@@ -7,7 +7,6 @@ from .percolation import (
     ProfileFamily,
     build_h,
     circuit_rank_term,
-    degree_vector,
     edge_probability,
     sample_adjacency,
 )

@@ -65,7 +65,7 @@ def sample_spectrum(
     """One seeded draw: its degree vector and the spectrum of its H."""
     sample = sample_adjacency(n, radius, profile, seed)
     degrees = sample.degrees()
-    h = build_h(sample.entries, degrees, v, profile.phi1)
+    h = build_h(sample.adjacency(), degrees, v, profile.phi1)
     return degrees, eigenvalue_summary(h, v=v, phi1=profile.phi1)
 
 

@@ -2,8 +2,9 @@
 
 A profile function phi with 0 < phi(t) < 1 sets the edge probability
 phi((x - y)/R)/R for each pair of distinct sites, and phi1 = integral of phi
-is the limiting mean vertex degree.  From a sampled 0/1 adjacency matrix we
-build the degree vector and the symmetric matrix
+is the limiting mean vertex degree.  A sample is its edge array; the dense
+0/1 matrix is built only on request (`entries`).  From the edges we build
+the degree vector and, in O(N + edges), the sparse symmetric matrix
 
     H = (v^2/phi1) * diag(degrees) - (v/sqrt(phi1)) * A,
 
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 __all__ = [
     "ProfileFamily",
@@ -24,7 +26,6 @@ __all__ = [
     "AdjacencySample",
     "edge_probability",
     "sample_adjacency",
-    "degree_vector",
     "build_h",
     "circuit_rank_term",
     "format_edge_list",
@@ -106,43 +107,57 @@ def edge_probability(x: int, y: int, radius: float, profile: Profile) -> float:
 
 @dataclass(frozen=True)
 class AdjacencySample:
-    """One seeded draw of the symmetric 0/1 adjacency matrix.
+    """One seeded draw of the graph, as its upper-triangle edge list.
 
-    Vertices are indexed -n..n, so the matrix is N x N with N = 2n + 1.
-    Entries are stored with row/column 0 corresponding to site -n.
+    Vertices are indexed -n..n, so there are N = 2n + 1 of them, stored
+    0-based with index 0 for site -n.  Column e of the (2, E) array `edges`
+    is one edge i < j; the edges run in row-major order.
     """
 
     n: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
+    edges: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return 2 * self.n + 1
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense symmetric N x N int8 adjacency, built on each access."""
+        i, j = self.edges
+        entries = np.zeros((self.n_vertices,) * 2, dtype=np.int8)
+        entries[i, j] = entries[j, i] = 1
+        return entries
+
+    def adjacency(self) -> coo_matrix:
+        """The symmetric adjacency as a sparse 0/1 matrix, two entries per edge."""
+        ends = np.hstack((self.edges, self.edges[::-1]))
+        ones = np.ones(ends.shape[1], dtype=np.int8)
+        return coo_matrix((ones, tuple(ends)), shape=(self.n_vertices,) * 2)
+
     def degrees(self) -> np.ndarray:
-        return degree_vector(self.entries)
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
     def edge_count(self) -> int:
-        return int(self.entries.sum()) // 2
+        return self.edges.shape[1]
 
     def mean_degree(self) -> float:
-        return float(self.entries.sum()) / self.n_vertices
+        return 2.0 * self.edge_count() / self.n_vertices
 
-    def iter_edges(self):
-        """Yield edges (x, y) with -n <= x < y <= n in site coordinates."""
-        rows, cols = np.nonzero(np.triu(self.entries, k=1))
-        for i, j in zip(rows, cols):
-            yield int(i) - self.n, int(j) - self.n
+
+# Uniforms per rng.random call (8 MB of doubles), rounded to whole rows of
+# the upper triangle: a call starts at the row holding a multiple of it.
+_DRAW_CHUNK = 1 << 20
 
 
 def sample_adjacency(n: int, radius: float, profile: Profile, seed: int) -> AdjacencySample:
-    """Draw the upper triangle row by row and mirror it.
+    """Draw the upper triangle row by row and keep the pairs drawn present.
 
-    The draw order is fixed row-major over the upper triangle, so identical
-    (n, radius, profile, seed) reproduce bit-identical matrices.
+    The draw order is fixed row-major over the upper triangle, pair (i, j)
+    taking one uniform against the probability at offset j - i, so
+    identical (n, radius, profile, seed) reproduce bit-identical edge lists.
+    A double takes one 64-bit output of the generator, so one call over a
+    run of rows draws the same stream as one call per row.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -151,30 +166,53 @@ def sample_adjacency(n: int, radius: float, profile: Profile, seed: int) -> Adja
     N = 2 * n + 1
     offsets = np.arange(1, N)
     p_by_offset = profile.phi(offsets / radius) / radius
-    if np.any(p_by_offset >= 1.0):
+    p_max = p_by_offset.max()
+    if p_max >= 1.0:
         raise ValueError("profile violates 0<phi<1")
     rng = np.random.default_rng(seed)
-    entries = np.zeros((N, N), dtype=np.int8)
-    for i in range(N - 1):
-        m = N - 1 - i
-        entries[i, i + 1 :] = rng.random(m) < p_by_offset[:m]
-    entries = entries + entries.T
-    return AdjacencySample(n=n, entries=entries)
+    # starts[i]: position of the pair (i, i + 1) in the row-major upper triangle
+    starts = np.concatenate(([0], np.cumsum(offsets[::-1])))
+    bounds = np.arange(0, starts[-1], _DRAW_CHUNK)
+    firsts = np.unique(np.searchsorted(starts, bounds, side="right") - 1)
+    hits = []
+    for a, b in zip(firsts.tolist(), firsts[1:].tolist() + [N - 1]):
+        u = rng.random(int(starts[b] - starts[a]))
+        at = np.flatnonzero(u < p_max)  # only these can fall below their own probability
+        row = np.searchsorted(starts, at + starts[a], side="right") - 1
+        offset = at + starts[a] - starts[row]
+        hit = u[at] < p_by_offset[offset]
+        hits.append(np.stack((row[hit], (row + 1 + offset)[hit])))
+    edges = np.concatenate(hits, axis=1)
+    edges.flags.writeable = False
+    return AdjacencySample(n=n, edges=edges)
 
 
-def degree_vector(entries: np.ndarray) -> np.ndarray:
-    """Row sums of the adjacency matrix (the diagonal degree matrix)."""
-    return np.asarray(entries).sum(axis=1).astype(np.int64)
-
-
-def build_h(entries: np.ndarray, degrees: np.ndarray, v: float, phi1: float) -> np.ndarray:
-    """Assemble (v^2/phi1) diag(degrees) - (v/sqrt(phi1)) A as float64."""
+def build_h(entries, degrees: np.ndarray, v: float, phi1: float) -> csr_matrix:
+    """Assemble (v^2/phi1) diag(degrees) - (v/sqrt(phi1)) A as a float64 CSR
+    matrix from the 0/1 adjacency A, a dense array or a scipy sparse matrix,
+    in O(N + edges) for a sparse A.  Zero values are not stored.
+    """
     if phi1 <= 0.0:
         raise ValueError(f"phi1 must be positive, got {phi1}")
-    h = np.multiply(entries, -v / math.sqrt(phi1), dtype=float)
-    idx = np.arange(h.shape[0])
-    h[idx, idx] = (v * v / phi1) * np.asarray(degrees, dtype=float)
-    return h
+    if issparse(entries):
+        rows, cols = entries.nonzero()
+    else:  # a flat scan of a boolean array is far faster than np.nonzero in 2-D
+        entries = np.asarray(entries)
+        rows, cols = np.divmod(np.flatnonzero(entries != 0), entries.shape[1])
+    off = rows != cols
+    size = entries.shape[0]
+    vertices = np.arange(size)
+    rows = np.concatenate((rows[off], vertices)).astype(np.int64)  # row * size fits
+    cols = np.concatenate((cols[off], vertices))
+    values = np.concatenate((
+        np.full(np.count_nonzero(off), -v / math.sqrt(phi1)),
+        (v * v / phi1) * np.asarray(degrees, dtype=float),
+    ))
+    keep = values != 0.0
+    key = rows[keep] * size + cols[keep]
+    order = np.argsort(key)
+    indptr = np.searchsorted(key[order], np.arange(size + 1) * size)
+    return csr_matrix((values[keep][order], cols[keep][order], indptr), shape=(size, size))
 
 
 def circuit_rank_term(degrees: np.ndarray) -> float:
@@ -184,6 +222,6 @@ def circuit_rank_term(degrees: np.ndarray) -> float:
 
 
 def format_edge_list(sample: AdjacencySample) -> str:
-    lines = [f"{x} {y}" for x, y in sample.iter_edges()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line "x y" per edge, -n <= x < y <= n in site coordinates."""
+    return "".join(f"{i - sample.n} {j - sample.n}\n" for i, j in sample.edges.T.tolist())
 

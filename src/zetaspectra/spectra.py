@@ -1,14 +1,15 @@
 """Spectra of sampled matrices and the log-determinant quantities.
 
-A sampled H is block-diagonal under a permutation: its nonzero pattern
-is the graph plus the diagonal, so each connected component of the graph
-is one block.  `eigenvalue_summary` finds the components, stacks the
-blocks of each size and solves every stack with one batched symmetric
-eigensolve; isolated vertices contribute their diagonal entry.  On the
-subcritical ensemble, a forest of small pieces, the solves cost O(N) for
-bounded block sizes in place of one O(N^3) dense solve (finding the
-blocks scans H once); a giant component costs at most the dense solve of
-its own size.
+A sampled H is block-diagonal under a permutation: each connected
+component of its nonzero pattern is one block.  `eigenvalue_summary`
+reads H as CSR, finds the components and scatters the nonzeros straight
+into one stack of dense blocks per block size, solved by one batched
+symmetric eigensolve; no N x N array is formed.  On the subcritical
+ensemble, a forest of small pieces, that is O(N + nnz) work; a giant
+component costs the dense solve of its own size.  Block entries outside
+the pattern hold the signed zero 0.0 * (-v/sqrt(phi1)), as the dense H
+did: LAPACK's Householder step branches on the sign of zero, and a +0.0
+fill moves the spectrum in the last digits.
 
 The normalized log of the zeta function of a sampled graph splits into a
 prefactor term driven by the degree sum and a log-determinant term driven
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -62,57 +63,59 @@ class SpectralSummary:
         return self.eigenvalues.shape[0]
 
 
-def eigenvalue_summary(h: np.ndarray, v: float, phi1: float) -> SpectralSummary:
+def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
     """Full ascending spectrum of a symmetric matrix, one block at a time.
 
-    Rejects matrices that are not symmetric to within 1e-12 entrywise, and
-    cross-checks the eigenvalue sum against the matrix trace.  The symmetry
-    check runs block by block and is still exact: a nonzero h[i, j] puts i
-    and j in one block, so every entry that can differ from its transpose
-    lies inside a block.
+    h is square, dense or scipy sparse.  Rejects matrices that are not
+    symmetric to within 1e-12 entrywise (an entry whose mirror is not
+    stored reads against 0), and cross-checks the eigenvalue sum against
+    the trace.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    h = h.tocsr() if issparse(h) else csr_matrix(np.asarray(h, dtype=float))
+    if not (h.has_canonical_format and h.data.all()):
+        h = h.copy()
+        h.sum_duplicates()  # sorted indices, no duplicates
+        h.eliminate_zeros()  # the stored pattern is the nonzero pattern
+    n = h.shape[0]
+    if h.shape[1] != n:
         raise ValueError("matrix must be square")
-    parts = []
-    for members in _blocks_by_size(h):
-        if members.shape[1] == 1:
-            parts.append(h[members[:, 0], members[:, 0]])
-            continue
-        blocks = h[members[:, :, None], members[:, None, :]]
-        asym = _max_asymmetry(blocks)
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"matrix is not symmetric (max deviation {asym:.3e})")
-        parts.append(np.linalg.eigvalsh(blocks).ravel())
+    rows = np.repeat(np.arange(n), np.diff(h.indptr))
+    cols, values = h.indices.astype(np.intp), h.data
+    keys, mirrors = rows * n + cols, cols * n + rows  # keys ascend in a canonical CSR
+    at = np.searchsorted(keys, mirrors).clip(max=keys.shape[0] - 1)
+    asym = np.abs(values - np.where(keys[at] == mirrors, values[at], 0.0)).max(initial=0.0)
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric (max deviation {asym:.3e})")
+    diagonal = h.diagonal()
+
+    # A pair stored both ways lies in one strongly connected component, so on
+    # a symmetric pattern these are the connected components, found without a
+    # transpose; an entry with no stored mirror (at most 1e-12) is left out.
+    _, labels = connected_components(h, connection="strong")
+    # Vertices sorted by (block size, block), ascending within a block; each
+    # owns one block row of `size` cells in a flat buffer, so the blocks of
+    # each size s lie back to back as one (m_s, s, s) stack.
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))
+    cells = size[order]
+    group = np.searchsorted(cells, cells)  # sorted position where each size starts
+    row, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    row[order] = np.cumsum(cells) - cells
+    local[order] = (np.arange(n) - group) % cells
+    flat = np.full(int(cells.sum()), math.copysign(0.0, -v))  # = 0.0 * (-v / sqrt(phi1))
+    flat[row + local] = diagonal
+    inside = (rows != cols) & (labels[rows] == labels[cols])
+    flat[row[rows[inside]] + local[cols[inside]]] = values[inside]
+    heads = np.unique(group)
+    parts = [stack if s == 1 else np.linalg.eigvalsh(stack.reshape(-1, s, s)).ravel()
+             for s, stack in zip(cells[heads], np.split(flat, row[order[heads[1:]]]))]
     eigs = np.sort(np.concatenate(parts)) if parts else np.empty(0)
-    trace = float(np.trace(h))
+    trace = float(diagonal.sum())
     gap = abs(float(eigs.sum()) - trace)
-    tol = TRACE_RTOL * h.shape[0] * max(1.0, abs(trace))
+    tol = TRACE_RTOL * n * max(1.0, abs(trace))
     if gap > tol:
         raise ArithmeticError(f"eigenvalue sum deviates from trace by {gap:.3e}")
     return SpectralSummary(eigenvalues=eigs, v=v, phi1=phi1, trace_check=gap)
-
-
-def _blocks_by_size(h: np.ndarray):
-    """Yield, for each block size s present, an (m, s) array of vertex
-    indices: row r lists the vertices of the r-th block of that size in
-    ascending order.  Blocks are the connected components of the nonzero
-    pattern of h, read as an undirected graph."""
-    _, labels = connected_components(csr_matrix(h != 0.0), directed=False)
-    sizes = np.bincount(labels)
-    order = np.lexsort((labels, sizes[labels]))
-    start = 0
-    for s, m in enumerate(np.bincount(sizes)):
-        if m:
-            yield order[start : start + m * s].reshape(m, s)
-            start += m * s
-
-
-def _max_asymmetry(blocks: np.ndarray) -> float:
-    """Largest |b[i, j] - b[j, i]| over a stack of square blocks, with one
-    block-sized temporary."""
-    skew = blocks - blocks.swapaxes(1, 2)
-    return float(np.abs(skew, out=skew).max())
 
 
 def counting_function(summary: SpectralSummary, lam: float) -> float:

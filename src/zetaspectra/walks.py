@@ -39,8 +39,6 @@ __all__ = [
     "walk_profile",
     "oracle_tree_weight",
     "oracle_moment",
-    "format_walk",
-    "parse_walk",
 ]
 
 MAX_STEPS = 8
@@ -66,9 +64,6 @@ class Walk:
     @property
     def steps(self) -> int:
         return len(self.letters) - 1
-
-    def __str__(self) -> str:
-        return format_walk(self)
 
 
 @dataclass(frozen=True)
@@ -265,26 +260,3 @@ def oracle_moment(k: int, v: float, phi1: float) -> float:
     for (exits, q, n_edges), count in sorted(walk_profile(k).items()):
         total += count * v ** (2 * q) * phi1 ** (n_edges - q)
     return total
-
-
-def format_walk(walk: Walk) -> str:
-    """Letters separated by spaces, generalized ones in brackets: 1 2 [3] 1."""
-    tokens = []
-    for letter, red in zip(walk.letters, walk.generalized):
-        tokens.append(f"[{letter}]" if red else str(letter))
-    return " ".join(tokens)
-
-
-def dump_walks(k: int) -> str:
-    """One walk per line in enumeration order; stable, usable as a golden file."""
-    return "\n".join(format_walk(w) for w in enumerate_tree_walks(k)) + "\n"
-
-
-def parse_walk(text: str) -> Walk:
-    letters = []
-    marks = []
-    for token in text.split():
-        red = token.startswith("[") and token.endswith("]")
-        letters.append(int(token.strip("[]")))
-        marks.append(red)
-    return Walk(tuple(letters), tuple(marks))

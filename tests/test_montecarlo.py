@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from zetaspectra.montecarlo import (
     moment_comparison,
     run_ensemble,
     run_trial,
+    sample_spectrum,
 )
 
 
@@ -35,6 +38,19 @@ class TestRunTrial:
         m1, p1 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
         m2, p2 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
         assert np.array_equal(m1, m2) and p1 == p2
+
+
+class TestSampleSpectrum:
+    def test_no_dense_matrix_at_n8001(self, gauss_profile):
+        # a dense int8 adjacency plus a float64 H would take 9 N^2 bytes, 576 MB
+        tracemalloc.start()
+        try:
+            degrees, summary = sample_spectrum(4000, 40.0, gauss_profile, 1.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert degrees.shape == (8001,) and summary.size == 8001
+        assert peak < 64 * 2**20
 
 
 class TestRunEnsemble:

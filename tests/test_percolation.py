@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from zetaspectra import cli
+from zetaspectra import cli, percolation
 from zetaspectra.percolation import (
     Profile,
     ProfileFamily,
     build_h,
     circuit_rank_term,
-    degree_vector,
     edge_probability,
     format_edge_list,
     sample_adjacency,
@@ -96,13 +95,12 @@ def test_tiny_amplitude_near_empty():
 
 
 def test_degree_vector_and_handshake(gauss_profile):
+    # degrees counted from the edge list against the dense row sums
     sample = sample_adjacency(12, 2.0, gauss_profile, seed=3)
-    deg = degree_vector(sample.entries)
+    deg = sample.degrees()
+    assert deg.dtype == np.int64
+    assert np.array_equal(deg, sample.entries.sum(axis=1))
     assert deg.sum() == 2 * sample.edge_count()
-    empty = np.zeros((5, 5), dtype=np.int8)
-    assert np.array_equal(degree_vector(empty), np.zeros(5, dtype=np.int64))
-    complete = np.ones((6, 6), dtype=np.int8) - np.eye(6, dtype=np.int8)
-    assert np.array_equal(degree_vector(complete), np.full(6, 5))
 
 
 def test_edge_frequency_matches_probability(exp_profile):
@@ -134,7 +132,7 @@ def test_mean_degree_sum_tends_to_half_phi1(gauss_profile):
 def test_build_h_zero_v(gauss_profile):
     sample = sample_adjacency(8, 2.0, gauss_profile, seed=1)
     h = build_h(sample.entries, sample.degrees(), 0.0, gauss_profile.phi1)
-    assert np.all(h == 0.0)
+    assert h.nnz == 0 and h.shape == (17, 17)
 
 
 def test_build_h_trace(gauss_profile):
@@ -142,14 +140,14 @@ def test_build_h_trace(gauss_profile):
     deg = sample.degrees()
     v, phi1 = 1.3, gauss_profile.phi1
     h = build_h(sample.entries, deg, v, phi1)
-    assert np.trace(h) == pytest.approx(v * v / phi1 * deg.sum(), rel=1e-12)
+    assert h.diagonal().sum() == pytest.approx(v * v / phi1 * deg.sum(), rel=1e-12)
     with pytest.raises(ValueError):
         build_h(sample.entries, deg, v, 0.0)
 
 
 def test_build_h_single_edge():
     entries = np.array([[0, 1], [1, 0]], dtype=np.int8)
-    h = build_h(entries, degree_vector(entries), 1.0, 1.0)
+    h = build_h(entries, entries.sum(axis=1), 1.0, 1.0).toarray()
     assert np.allclose(h, [[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(np.linalg.eigvalsh(h), [0.0, 2.0])
 
@@ -182,8 +180,49 @@ def test_file_exports(tmp_path, gauss_profile):
     assert np.array_equal(dense, sample.entries)
 
 
+def dense_draw(n, radius, profile, seed):
+    """The row-major dense draw the edge-array sampler reproduces: one
+    rng.random call per row of the upper triangle.  Returns its edges."""
+    N = 2 * n + 1
+    p_by_offset = profile.phi(np.arange(1, N) / radius) / radius
+    rng = np.random.default_rng(seed)
+    entries = np.zeros((N, N), dtype=np.int8)
+    for i in range(N - 1):
+        m = N - 1 - i
+        entries[i, i + 1 :] = rng.random(m) < p_by_offset[:m]
+    return np.nonzero(entries)
+
+
+def assert_same_stream(n, radius, profile, seed):
+    sample = sample_adjacency(n, radius, profile, seed)
+    assert np.array_equal(sample.edges, np.stack(dense_draw(n, radius, profile, seed)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 7, 150])
+@pytest.mark.parametrize("radius", [1.0, 2.5, 40.0])
+def test_sampler_keeps_the_dense_stream(family, n, radius):
+    profile = Profile.from_name(family, 0.5)
+    for seed in (0, 1, 20260810):
+        assert_same_stream(n, radius, profile, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 1000])
+def test_sampler_stream_across_draw_chunks(monkeypatch, chunk, gauss_profile):
+    # chunks of whole rows: one row per call (chunk=1, rows longer than a
+    # chunk) up to many rows per call; each must draw the same stream
+    monkeypatch.setattr(percolation, "_DRAW_CHUNK", chunk)
+    for seed in (3, 4):
+        assert_same_stream(40, 2.5, gauss_profile, seed)
+
+
+def test_sampler_stream_over_two_default_chunks():
+    # N = 1501 draws 1 125 750 uniforms, more than one default chunk
+    assert_same_stream(750, 40.0, Profile.from_name("lorentz", 0.5), 11)
+
+
 @settings(max_examples=25)
 @given(seed=st.integers(0, 10_000))
 def test_sample_edge_count_matches_matrix(seed, exp_profile):
     sample = sample_adjacency(5, 2.0, exp_profile, seed=seed)
-    assert sample.edge_count() == len(list(sample.iter_edges()))
+    assert sample.edge_count() == int(sample.entries.sum()) // 2

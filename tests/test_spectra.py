@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from zetaspectra.graphs import cycle_graph
-from zetaspectra.percolation import Profile, build_h, degree_vector, sample_adjacency
+from zetaspectra.percolation import Profile, build_h, sample_adjacency
 from zetaspectra.spectra import (
     SpectralSummary,
     counting_function,
@@ -39,21 +40,31 @@ class TestEigenvalueSummary:
         m[0, 1] = 1e-6
         with pytest.raises(ValueError, match="not symmetric"):
             eigenvalue_summary(m, v=1.0, phi1=1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalue_summary(csr_matrix(m), v=1.0, phi1=1.0)
         # a perturbed entry inside a block of a block-diagonal matrix
         m = block_diag(np.eye(2), np.ones((3, 3)), [[4.0]])
         m[3, 4] += 1e-9
         with pytest.raises(ValueError, match="not symmetric"):
             eigenvalue_summary(m, v=1.0, phi1=1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalue_summary(csr_matrix(m), v=1.0, phi1=1.0)
+
+    def test_sparse_duplicates_summed(self):
+        # a COO input whose duplicate entries sum to a symmetric matrix
+        h = coo_matrix(([0.5, 0.5, 1.0, 2.0], ([0, 0, 1, 1], [1, 1, 0, 1])), shape=(3, 3))
+        s = eigenvalue_summary(h, v=1.0, phi1=1.0)
+        assert np.allclose(s.eigenvalues, np.linalg.eigvalsh(h.toarray()))
 
     def test_trace_identity(self, gauss_profile):
         sample = sample_adjacency(40, 3.0, gauss_profile, seed=6)
         h = build_h(sample.entries, sample.degrees(), 1.2, gauss_profile.phi1)
         s = eigenvalue_summary(h, v=1.2, phi1=gauss_profile.phi1)
-        assert float(s.eigenvalues.sum()) == pytest.approx(np.trace(h), rel=1e-10)
+        assert float(s.eigenvalues.sum()) == pytest.approx(h.diagonal().sum(), rel=1e-10)
 
     def test_eigenpair_residual_spot_check(self, gauss_profile):
         sample = sample_adjacency(30, 2.5, gauss_profile, seed=8)
-        h = build_h(sample.entries, sample.degrees(), 0.9, gauss_profile.phi1)
+        h = build_h(sample.entries, sample.degrees(), 0.9, gauss_profile.phi1).toarray()
         vals, vecs = np.linalg.eigh(h)
         norm = np.linalg.norm(h, 2)
         for j in (0, len(vals) // 2, len(vals) - 1):
@@ -62,8 +73,8 @@ class TestEigenvalueSummary:
 
 
 def assert_matches_dense(h):
-    # the block route against one dense solve of the whole matrix
-    dense = np.linalg.eigvalsh(h)
+    # the block route, on a dense or a sparse h, against one dense solve
+    dense = np.linalg.eigvalsh(h.toarray() if issparse(h) else h)
     eigs = eigenvalue_summary(h, v=1.0, phi1=1.0).eigenvalues
     assert eigs.shape == dense.shape
     assert np.all(np.diff(eigs) >= 0.0)
@@ -76,7 +87,10 @@ class TestBlockRouteAgainstDense:
         # subcritical forest (gauss, phi1 ~ 0.89) and supercritical giant (exp, phi1 = 1.8)
         profile = Profile.from_name(family, amplitude)
         sample = sample_adjacency(200, 20.0, profile, seed=31)
-        assert_matches_dense(build_h(sample.entries, sample.degrees(), v, profile.phi1))
+        h = build_h(sample.adjacency(), sample.degrees(), v, profile.phi1)
+        assert isinstance(h, csr_matrix)
+        assert_matches_dense(h)
+        assert_matches_dense(h.toarray())
 
     def test_permuted_block_matrix(self, rng):
         blocks = []
@@ -86,6 +100,7 @@ class TestBlockRouteAgainstDense:
         h = block_diag(*blocks)
         perm = rng.permutation(h.shape[0])
         assert_matches_dense(h[np.ix_(perm, perm)])
+        assert_matches_dense(csr_matrix(h[np.ix_(perm, perm)]))
 
     def test_all_isolated(self):
         diagonal = np.array([3.0, -1.0, 0.0, 2.5, -1.0])
@@ -128,12 +143,12 @@ class TestEmpiricalMoments:
         sample = sample_adjacency(25, 2.0, gauss_profile, seed=4)
         h = build_h(sample.entries, sample.degrees(), 1.0, gauss_profile.phi1)
         s = eigenvalue_summary(h, v=1.0, phi1=gauss_profile.phi1)
-        assert empirical_moment(s, 1) == pytest.approx(np.trace(h) / h.shape[0], rel=1e-10)
+        assert empirical_moment(s, 1) == pytest.approx(h.diagonal().sum() / h.shape[0], rel=1e-10)
 
     def test_trace_identities_dual_route(self, gauss_profile):
         # spectrum route against direct matrix powers for k = 1..4
         sample = sample_adjacency(25, 2.0, gauss_profile, seed=5)
-        h = build_h(sample.entries, sample.degrees(), 1.1, gauss_profile.phi1)
+        h = build_h(sample.entries, sample.degrees(), 1.1, gauss_profile.phi1).toarray()
         s = eigenvalue_summary(h, v=1.1, phi1=gauss_profile.phi1)
         n = h.shape[0]
         for k in range(1, 5):
@@ -165,7 +180,7 @@ class TestLogDetDensity:
     def test_matches_lu_logdet(self, gauss_profile):
         sample = sample_adjacency(80, 3.0, gauss_profile, seed=12)
         v, phi1 = 0.5, gauss_profile.phi1
-        h = build_h(sample.entries, sample.degrees(), v, phi1)
+        h = build_h(sample.entries, sample.degrees(), v, phi1).toarray()
         s = eigenvalue_summary(h, v=v, phi1=phi1)
         n = h.shape[0]
         sign, logdet = np.linalg.slogdet((1 - v * v / phi1) * np.eye(n) + h)
@@ -196,7 +211,7 @@ class TestNegLogZetaDensity:
     def test_triangle_closed_form(self):
         # u = 0.2 via v = 0.2, phi1 = 1; zeta of the triangle is (1-u^3)^(-2)
         adj = cycle_graph(3)
-        degrees = degree_vector(adj)
+        degrees = adj.sum(axis=1)
         u = 0.2
         h = build_h(adj, degrees, u, 1.0)
         s = eigenvalue_summary(h, v=u, phi1=1.0)

