@@ -12,6 +12,8 @@ table up to a maximal order; lower orders are prefixes of it.
   (adjacency_moments).
 * dense limits: as phi1 -> infinity the arrays collapse to the moments of a
   semicircle distribution shifted by v^2 (dense_moments, catalan_moment).
+* finite_moments: the exact expectations of the first two sampled moments
+  at finite (N, R), from the per-offset edge probabilities.
 
 Both tables are one root-exit composition (_compose).  Criterion 02 checks
 it and its first-edge cache against the plain loop tree_weight_split; the
@@ -23,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 __all__ = [
     "extended_binomial",
     "extended_binomial_other_hits",
@@ -31,6 +35,7 @@ __all__ = [
     "first_edge_weight",
     "tree_weight_split",
     "limit_moments",
+    "finite_moments",
     "adjacency_weight_table",
     "adjacency_moments",
     "dense_moments",
@@ -186,6 +191,32 @@ def limit_moments(k_max: int, v: float, phi1: float) -> list[float]:
     for k in range(1, k_max + 1):
         out.append(sum(table[k][r] for r in range(1, k + 1)))
     return out
+
+
+def finite_moments(k_max: int, n: int, radius: float, profile, v: float) -> list[float]:
+    """Exact expectations E M_0..E M_k_max of one sample's spectral moments
+    at finite (N, R), N = 2n + 1, for k_max <= 2, in O(N).
+
+    With p_d = phi(d/R)/R and c = v^2/phi1, vertex x has E d_x = C(x) +
+    C(N-1-x) and Var d_x = V(x) + V(N-1-x), where C(m) and V(m) sum p_d and
+    p_d(1 - p_d) over d <= m; then E M_1 = c mean E d_x and
+    E M_2 = mean[c^2 (Var d_x + (E d_x)^2) + c E d_x].
+    """
+    if not 0 <= k_max <= 2:
+        raise ValueError(
+            f"finite moments need 0 <= k_max <= 2, got {k_max}: M_3 and M_4 need "
+            "the path and triangle sums of ROADMAP item 1"
+        )
+    n_vertices = 2 * n + 1
+    p = profile.phi(np.arange(1, n_vertices) / radius) / radius
+    prefix = np.concatenate(([0.0], np.cumsum(p)))
+    prefix_var = np.concatenate(([0.0], np.cumsum(p * (1.0 - p))))
+    x = np.arange(n_vertices)
+    mean_d = prefix[x] + prefix[n_vertices - 1 - x]
+    var_d = prefix_var[x] + prefix_var[n_vertices - 1 - x]
+    c = v * v / profile.phi1
+    out = [1.0, c * float(mean_d.mean()), float(np.mean(c * c * (var_d + mean_d**2) + c * mean_d))]
+    return out[: k_max + 1]
 
 
 def adjacency_weight_table(p_max: int, v: float, phi1: float) -> list[list[float]]:

@@ -2,7 +2,7 @@
 
 Criteria 1-5 and 8-11 take their verdict and detail from the `validate`
 checks, the same functions behind `zetaspectra validate`.  The Monte Carlo
-criteria (6 and 7) share one ensemble run at N = 2001 and one size sweep;
+criteria (6, 7 and 13) share one ensemble run at N = 2001 and one size sweep;
 both are module-scoped fixtures and dominate the module's wall time
 (about 13 s, mostly drawing the uniforms of the sampler), so they carry
 the `slow` marker.
@@ -12,7 +12,10 @@ carries a systematic finite-size offset that is deterministic and an order
 of magnitude larger than the standard error of a 200-trial mean, while the
 same criterion requires the offset trend to shrink with N.  The acceptance
 tolerance is therefore three per-trial standard deviations; the table
-output still reports the standard error of the mean.
+output still reports the standard error of the mean.  Criterion 13 removes
+that offset for M_1, M_2 and the prefactor: it compares the same ensemble
+with the exact finite-(N, R) expectations (`moments.finite_moments`)
+within three standard errors.
 """
 
 import math
@@ -163,4 +166,27 @@ def test_criterion_12_mutation_sensitivity(monkeypatch, capsys):
 
     ok = first == 1 and second == 1
     report(12, "mutation-sensitivity", ok, f"exit codes {first} and {second}")
+    assert ok
+
+
+@pytest.mark.slow
+def test_criterion_13_finite_size_moments(mc_main):
+    # the exact finite-(N, R) means, judged at the scale of the standard error
+    exact = moments.finite_moments(2, 1000, 40.0, ACC_PROFILE, ACC_V)
+    c = ACC_V**2 / ACC_PROFILE.phi1
+    u = mc_main.prefactor_u
+    pairs = {  # E M_1 = c * mean degree, and the prefactor is affine in it
+        "M_1": (mc_main.moments[:, 1], exact[1]),
+        "M_2": (mc_main.moments[:, 2], exact[2]),
+        "prefactor": (mc_main.prefactors, (exact[1] / c - 2.0) / 2.0 * math.log1p(-u * u)),
+    }
+    z = {
+        name: (values.mean() - target) / (values.std(ddof=1) / math.sqrt(len(values)))
+        for name, (values, target) in pairs.items()
+    }
+    ok = all(abs(value) <= 3.0 for value in z.values())
+    report(
+        13, "finite-size-moments", ok,
+        "z per standard error " + ", ".join(f"{name} {value:+.2f}" for name, value in z.items()),
+    )
     assert ok

@@ -1,10 +1,13 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaspectra import moments
+from zetaspectra.percolation import Profile
 from zetaspectra.moments import (
     adjacency_bound_report,
     adjacency_moments,
@@ -14,6 +17,7 @@ from zetaspectra.moments import (
     dense_moments,
     dense_tree_weight_table,
     extended_binomial,
+    finite_moments,
     first_edge_weight,
     limit_moments,
     tree_bound_report,
@@ -132,6 +136,42 @@ class TestLimitMoments:
             gaps.append(max(abs(ms[k] - mu[k]) for k in range(1, 9)))
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < gaps[0] * 1e-4
+
+
+class TestFiniteMoments:
+    @pytest.mark.parametrize("n,radius,family,amplitude", [
+        (1, 1.0, "exp", 0.9), (2, 1.0, "exp", 0.9), (2, 1.5, "gauss", 0.5), (2, 3.0, "lorentz", 0.5),
+    ])
+    def test_matches_enumeration_of_every_graph(self, n, radius, family, amplitude):
+        # E (1/N) Tr H^k summed over all 2^(N(N-1)/2) graphs with their probabilities
+        profile = Profile.from_name(family, amplitude)
+        v = 0.7
+        c = v * v / profile.phi1
+        size = 2 * n + 1
+        pairs = list(itertools.combinations(range(size), 2))
+        probs = [profile.phi((j - i) / radius) / radius for i, j in pairs]
+        expected = np.zeros(3)
+        for present in itertools.product((0, 1), repeat=len(pairs)):
+            weight = 1.0
+            adjacency = np.zeros((size, size))
+            for (i, j), p, bit in zip(pairs, probs, present):
+                weight *= p if bit else 1.0 - p
+                adjacency[i, j] = adjacency[j, i] = bit
+            h = c * np.diag(adjacency.sum(axis=1)) - math.sqrt(c) * adjacency
+            expected += weight * np.array([1.0, np.trace(h) / size, np.trace(h @ h) / size])
+        assert finite_moments(2, n, radius, profile, v) == pytest.approx(expected, rel=1e-12)
+        assert finite_moments(1, n, radius, profile, v) == finite_moments(2, n, radius, profile, v)[:2]
+
+    def test_approaches_the_limit(self):
+        # boundary gap ~ R/N and cycle gap ~ 1/R
+        profile = Profile.from_name("gauss", 0.5)
+        finite = finite_moments(2, 100_000, 400.0, profile, 1.0)
+        assert finite == pytest.approx(limit_moments(2, 1.0, profile.phi1), rel=5e-3)
+
+    def test_refuses_higher_orders(self):
+        profile = Profile.from_name("gauss", 0.5)
+        with pytest.raises(ValueError, match="item 1"):
+            finite_moments(3, 10, 2.0, profile, 1.0)
 
 
 class TestAdjacencyWeights:
