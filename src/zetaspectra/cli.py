@@ -12,7 +12,14 @@ import time
 import numpy as np
 
 from . import graphs, limits, moments, percolation, spectra, zeta
-from .montecarlo import convergence_sweep, moment_comparison, run_ensemble, sample_spectrum
+from .montecarlo import (
+    STREAM,
+    convergence_sweep,
+    moment_comparison,
+    run_ensemble,
+    sample_spectrum,
+    trial_seed,
+)
 from .validate import run_validation
 
 __all__ = ["main", "ExperimentConfig"]
@@ -79,6 +86,7 @@ def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "argv": args.argv,
         "command": args.command,
+        "stream": STREAM,
     }
     with open(out_path + ".meta.json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=1)
@@ -121,7 +129,6 @@ _FLAGS = {
     "--kmax": dict(dest="k_max", type=int, default=None),
     "--out": dict(default=None, help="output path (stdout if omitted)"),
     "--format": dict(dest="fmt", choices=["csv", "json"], default=None),
-    "--threads": dict(type=int, default=1, help="worker threads over trials"),
 }
 
 
@@ -215,10 +222,7 @@ def _cmd_moments(args) -> int:
         )
         _emit(_table(rows, ["k", "m_k", "ell_k", "mu_k"], cfg.fmt), cfg.out, args)
         return 0
-    result = run_ensemble(
-        cfg.n, cfg.radius, profile, cfg.v, cfg.seed, cfg.trials, cfg.k_max,
-        threads=args.threads,
-    )
+    result = run_ensemble(cfg.n, cfg.radius, profile, cfg.v, cfg.seed, cfg.trials, cfg.k_max)
     rows = [
         (r.k, r.mean, r.stderr, r.theory, r.abs_diff, r.z_score)
         for r in moment_comparison(result)
@@ -244,7 +248,6 @@ def _cmd_converge(args) -> int:
         trials,
         k_max=cfg.k_max,
         r_scale=args.r_scale,
-        threads=args.threads,
     )
     rows = []
     for pt in points:
@@ -275,7 +278,9 @@ def _cmd_logdet(args) -> int:
         raise ValueError(f"--gauss-points {args.gauss_points}: {exc}") from None
     integral = float(np.sum(weights * np.log(1.0 - v * v / phi1 + nodes)))
     values = np.array([
-        spectra.log_det_density(sample_spectrum(cfg.n, cfg.radius, profile, v, cfg.seed + t)[1])
+        spectra.log_det_density(
+            sample_spectrum(cfg.n, cfg.radius, profile, v, trial_seed(cfg.seed, cfg.n, t))[1]
+        )
         for t in range(cfg.trials)
     ])
     mean = values.mean()
@@ -384,14 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-script", default="", help="also write a plotting stub here")
 
     p = command("moments", _cmd_moments, "empirical vs limiting moments",
-                "--config --n --R --profile --a --v --seed --trials --kmax --out --format"
-                " --threads")
+                "--config --n --R --profile --a --v --seed --trials --kmax --out --format")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--theory", action="store_true", help="theory table only, no sampling")
     mode.add_argument("--bounds", action="store_true", help="JSON bound report up to --kmax")
 
     p = command("converge", _cmd_converge, "moment gaps along a size sweep",
-                "--config --profile --a --v --seed --kmax --out --format --threads")
+                "--config --profile --a --v --seed --kmax --out --format")
     p.add_argument("--n-sweep", type=_int_list, default="250,500,1000",
                    help="comma-separated n values")
     p.add_argument("--trials", dest="trial_counts", type=_int_list, default=None,
@@ -422,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Flags a mode of a subcommand does not read: (command, dest, value) -> flags.
 _UNREAD_IN_MODE = {
-    ("moments", "theory", True): "--n --R --seed --trials --threads",
-    ("moments", "bounds", True): "--n --R --seed --trials --threads --format",
+    ("moments", "theory", True): "--n --R --seed --trials",
+    ("moments", "bounds", True): "--n --R --seed --trials --format",
     ("limits", "what", "fgrid"): "--v --points",
     ("limits", "what", "density"): "--v-min --v-max --v-count",
     ("limits", "what", "stieltjes"): "--points --v-min --v-max --v-count",

@@ -1,14 +1,16 @@
 """Seeded Monte Carlo harness over the percolation ensemble.
 
-Trials are pure functions of (n, radius, profile, v, seed + trial index),
-so runs are reproducible and trivially parallel.  Results are reduced in
-trial-index order regardless of completion order.
+Trial t of an experiment at half-width n draws from its own stream,
+`trial_seed(seed, n, t)` = SeedSequence(seed, spawn_key=(n, t)): the base
+seed names the experiment, so ensembles with different base seeds, and the
+sizes of one sweep, share no trial graph.  Trials are pure functions of
+(n, radius, profile, v, seed, t), so runs are reproducible, and results are
+reduced in trial-index order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,8 @@ from .spectra import (
 )
 
 __all__ = [
+    "STREAM",
+    "trial_seed",
     "EnsembleResult",
     "sample_spectrum",
     "run_trial",
@@ -32,6 +36,16 @@ __all__ = [
     "SweepPoint",
     "convergence_sweep",
 ]
+
+
+# Version of the random stream: the draw order of `sample_adjacency` (per-offset
+# counts, then distinct positions) together with the trial keying below.
+STREAM = 2
+
+
+def trial_seed(seed: int, n: int, t: int) -> np.random.SeedSequence:
+    """The seed of trial t of the experiment named by `seed` at half-width n."""
+    return np.random.SeedSequence(seed, spawn_key=(n, t))
 
 
 @dataclass
@@ -60,7 +74,7 @@ class EnsembleResult:
 
 
 def sample_spectrum(
-    n: int, radius: float, profile: Profile, v: float, seed: int
+    n: int, radius: float, profile: Profile, v: float, seed: int | np.random.SeedSequence
 ) -> tuple[np.ndarray, SpectralSummary]:
     """One seeded draw: its degree vector and the spectrum of its H."""
     sample = sample_adjacency(n, radius, profile, seed)
@@ -74,7 +88,7 @@ def run_trial(
     radius: float,
     profile: Profile,
     v: float,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     k_max: int,
     prefactor_u: float = 0.3,
 ):
@@ -96,9 +110,8 @@ def run_ensemble(
     trials: int,
     k_max: int,
     prefactor_u: float = 0.3,
-    threads: int = 1,
 ) -> EnsembleResult:
-    """Independent trials with per-trial seeds seed + trial index.
+    """Independent trials, trial t seeded by trial_seed(seed, n, t).
 
     Every reader of the result takes a ddof=1 standard deviation, so at
     least two trials are needed.
@@ -107,18 +120,10 @@ def run_ensemble(
         raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
     moments = np.empty((trials, k_max + 1))
     prefactors = np.empty(trials)
-
-    def work(t: int):
-        return run_trial(n, radius, profile, v, seed + t, k_max, prefactor_u=prefactor_u)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(trials)))
-    else:
-        results = [work(t) for t in range(trials)]
-    for t, (mom, pref) in enumerate(results):
-        moments[t] = mom
-        prefactors[t] = pref
+    for t in range(trials):
+        moments[t], prefactors[t] = run_trial(
+            n, radius, profile, v, trial_seed(seed, n, t), k_max, prefactor_u=prefactor_u
+        )
     return EnsembleResult(
         profile=profile, v=v, k_max=k_max,
         moments=moments, prefactor_u=prefactor_u, prefactors=prefactors,
@@ -171,7 +176,6 @@ def convergence_sweep(
     trials,
     k_max: int = 4,
     r_scale: float = 1.0,
-    threads: int = 1,
 ) -> list[SweepPoint]:
     """Gap-versus-size table along R = ceil(r_scale * N^gamma).
 
@@ -193,7 +197,7 @@ def convergence_sweep(
     for n, n_trials in zip(n_values, trials):
         n_vertices = 2 * n + 1
         radius = max(1.0, math.ceil(r_scale * n_vertices**gamma))
-        result = run_ensemble(n, radius, profile, v, seed, n_trials, k_max, threads=threads)
+        result = run_ensemble(n, radius, profile, v, seed, n_trials, k_max)
         gaps = tuple(abs(result.moment_mean(k) - theory[k]) for k in range(k_max + 1))
         errs = tuple(result.moment_stderr(k) if k else 0.0 for k in range(k_max + 1))
         points.append(SweepPoint(n_vertices, radius, n_trials, gaps, errs))

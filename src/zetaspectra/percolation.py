@@ -145,19 +145,20 @@ class AdjacencySample:
         return 2.0 * self.edge_count() / self.n_vertices
 
 
-# Uniforms per rng.random call (8 MB of doubles), rounded to whole rows of
-# the upper triangle: a call starts at the row holding a multiple of it.
-_DRAW_CHUNK = 1 << 20
+def sample_adjacency(
+    n: int, radius: float, profile: Profile, seed: int | np.random.SeedSequence
+) -> AdjacencySample:
+    """Draw each diagonal's edge count, then that many distinct positions.
 
-
-def sample_adjacency(n: int, radius: float, profile: Profile, seed: int) -> AdjacencySample:
-    """Draw the upper triangle row by row and keep the pairs drawn present.
-
-    The draw order is fixed row-major over the upper triangle, pair (i, j)
-    taking one uniform against the probability at offset j - i, so
-    identical (n, radius, profile, seed) reproduce bit-identical edge lists.
-    A double takes one 64-bit output of the generator, so one call over a
-    run of rows draws the same stream as one call per row.
+    Diagonal d = j - i holds N - d pairs, each an edge with probability
+    p_d = phi(d/R)/R independently, so its edge count is Binomial(N - d, p_d)
+    and, given the count, the edges are a uniform subset of that size.  One
+    binomial call draws every count and one integer call a start i for each
+    edge (i, i + d); while some (d, i) repeats, the first occurrence stays
+    and all the others are redrawn in one call, which keeps the subset
+    uniform.  The work is O(N + edges), the law is exact, and this draw
+    order fixes the stream: identical (n, radius, profile, seed) reproduce
+    bit-identical edge lists.  `seed` is an int or a SeedSequence.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -166,23 +167,19 @@ def sample_adjacency(n: int, radius: float, profile: Profile, seed: int) -> Adja
     N = 2 * n + 1
     offsets = np.arange(1, N)
     p_by_offset = profile.phi(offsets / radius) / radius
-    p_max = p_by_offset.max()
-    if p_max >= 1.0:
+    if p_by_offset.max() >= 1.0:
         raise ValueError("profile violates 0<phi<1")
     rng = np.random.default_rng(seed)
-    # starts[i]: position of the pair (i, i + 1) in the row-major upper triangle
-    starts = np.concatenate(([0], np.cumsum(offsets[::-1])))
-    bounds = np.arange(0, starts[-1], _DRAW_CHUNK)
-    firsts = np.unique(np.searchsorted(starts, bounds, side="right") - 1)
-    hits = []
-    for a, b in zip(firsts.tolist(), firsts[1:].tolist() + [N - 1]):
-        u = rng.random(int(starts[b] - starts[a]))
-        at = np.flatnonzero(u < p_max)  # only these can fall below their own probability
-        row = np.searchsorted(starts, at + starts[a], side="right") - 1
-        offset = at + starts[a] - starts[row]
-        hit = u[at] < p_by_offset[offset]
-        hits.append(np.stack((row[hit], (row + 1 + offset)[hit])))
-    edges = np.concatenate(hits, axis=1)
+    d = np.repeat(offsets, rng.binomial(N - offsets, p_by_offset))
+    i = rng.integers(0, N - d)
+    while True:
+        again = np.ones(d.size, dtype=bool)
+        again[np.unique(d * N + i, return_index=True)[1]] = False
+        if not again.any():
+            break
+        i[again] = rng.integers(0, N - d[again])
+    j = i + d
+    edges = np.stack((i, j))[:, np.lexsort((j, i))]
     edges.flags.writeable = False
     return AdjacencySample(n=n, edges=edges)
 

@@ -8,7 +8,7 @@ import pytest
 
 from zetaspectra import cli, moments, zeta
 from zetaspectra.cli import ExperimentConfig, main
-from zetaspectra.montecarlo import sample_spectrum
+from zetaspectra.montecarlo import STREAM, sample_spectrum, trial_seed
 from zetaspectra.percolation import Profile
 from zetaspectra.spectra import log_det_density
 
@@ -78,6 +78,7 @@ UNREAD_FLAGS = [
     ["converge", "--n", "5"],
     ["sample", "--v", "1"],
     ["spectrum", "--kmax", "3"],
+    ["moments", "--trials", "2", "--threads", "2"],  # trials run in one thread
 ]
 
 
@@ -94,7 +95,6 @@ def test_unread_flag_is_refused(argv, capsys):
 MODE_UNREAD_FLAGS = [
     (["moments", "--theory", "--n", "5", "--trials", "9", "--seed", "3", "--kmax", "2"], "--n"),
     (["moments", "--theory", "--R", "3"], "--R"),
-    (["moments", "--theory", "--threads", "2"], "--threads"),
     (["moments", "--bounds", "--format", "json"], "--format"),
     (["moments", "--theory", "--bounds"], "--bounds"),
     (["limits", "--what", "fgrid", "--v", "7"], "--v"),
@@ -162,6 +162,7 @@ class TestSample:
         assert out.read_bytes() == first
         meta = json.loads((tmp_path / "edges.txt.meta.json").read_text())
         assert meta["command"] == "sample"
+        assert meta["stream"] == STREAM == 2
         assert meta["argv"] == args  # what main was given, not the host's sys.argv
 
     def test_near_empty_for_tiny_amplitude(self, tmp_path):
@@ -319,13 +320,15 @@ class TestLogdet:
         assert (row["N"], row["trials"], row["gauss_points"]) == (41, 3, 2)
         assert row["gap"] == pytest.approx(row["logdet_mean"] - row["limit_integral"], abs=1e-14)
         assert row["logdet_stderr"] > 0
-        # trial t samples seed + t, as in `moments`
+        # trial t samples trial_seed(seed, n, t), as in `moments`
         profile = Profile.from_name("gauss", 0.5)
         values = [
-            log_det_density(sample_spectrum(20, 3.0, profile, 0.5, seed)[1]) for seed in (4, 5, 6)
+            log_det_density(sample_spectrum(20, 3.0, profile, 0.5, trial_seed(4, 20, t))[1])
+            for t in range(3)
         ]
         assert row["logdet_mean"] == pytest.approx(np.mean(values), rel=1e-14)
-        assert json.loads((tmp_path / "logdet.csv.meta.json").read_text())["command"] == "logdet"
+        meta = json.loads((tmp_path / "logdet.csv.meta.json").read_text())
+        assert (meta["command"], meta["stream"]) == ("logdet", STREAM)
 
     def test_single_trial_rejected(self, capsys):
         assert main(["logdet", "--n", "10", "--trials", "1"]) == 2

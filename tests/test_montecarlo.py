@@ -11,6 +11,7 @@ from zetaspectra.montecarlo import (
     run_ensemble,
     run_trial,
     sample_spectrum,
+    trial_seed,
 )
 
 
@@ -54,11 +55,15 @@ class TestSampleSpectrum:
 
 
 class TestRunEnsemble:
-    def test_threading_is_deterministic(self, gauss_profile):
-        serial = run_ensemble(15, 2.0, gauss_profile, 1.0, seed=9, trials=6, k_max=3)
-        threaded = run_ensemble(15, 2.0, gauss_profile, 1.0, seed=9, trials=6, k_max=3, threads=3)
-        assert np.array_equal(serial.moments, threaded.moments)
-        assert np.array_equal(serial.prefactors, threaded.prefactors)
+    def test_sibling_seeds_share_no_trial(self, gauss_profile):
+        # with seed + t keying, row t + 1 of seed s was row t of seed s + 1
+        first = run_ensemble(15, 2.0, gauss_profile, 1.0, seed=9, trials=6, k_max=3)
+        second = run_ensemble(15, 2.0, gauss_profile, 1.0, seed=10, trials=6, k_max=3)
+        assert not any(np.array_equal(a, b) for a in first.moments for b in second.moments)
+
+    def test_trial_seed_is_keyed(self):
+        seed = trial_seed(20260810, 1000, 7)
+        assert (seed.entropy, seed.spawn_key) == (20260810, (1000, 7))
 
     def test_moment_comparison_columns(self, gauss_profile):
         result = run_ensemble(15, 2.0, gauss_profile, 1.0, seed=2, trials=5, k_max=3)
@@ -111,6 +116,19 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match=">= 2"):
             convergence_sweep([150, 4], 0.5, gauss_profile, 1.0, seed=1, trials=[3, 1], k_max=1)
         assert draws == []
+
+    def test_sizes_share_no_trial_stream(self, gauss_profile, monkeypatch):
+        # one base seed for every size; the trial streams must still differ
+        streams = []
+        real = montecarlo.sample_adjacency
+
+        def recorded(n, radius, profile, seed):
+            streams.append(int(np.random.default_rng(seed).integers(2**63)))
+            return real(n, radius, profile, seed)
+
+        monkeypatch.setattr(montecarlo, "sample_adjacency", recorded)
+        convergence_sweep([8, 16, 32], 0.5, gauss_profile, 1.0, seed=1, trials=4, k_max=1)
+        assert len(streams) == 12 and len(set(streams)) == 12
 
     def test_radius_rule(self, gauss_profile):
         (pt,) = convergence_sweep(
