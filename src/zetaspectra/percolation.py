@@ -2,9 +2,11 @@
 
 A profile function phi with 0 < phi(t) < 1 sets the edge probability
 phi((x - y)/R)/R for each pair of distinct sites, and phi1 = integral of phi
-is the limiting mean vertex degree.  A sample is its edge array; the dense
-0/1 matrix is built only on request (`entries`).  From the edges we build
-the degree vector and, in O(N + edges), the sparse symmetric matrix
+is the limiting mean vertex degree.  A sample is its edge array, drawn in
+O(N + edges) diagonal by diagonal (a binomial edge count per offset, then
+that many distinct positions); the dense 0/1 matrix is built only on
+request (`entries`).  From the edges we build the degree vector and, in
+O(N + edges), the sparse symmetric matrix
 
     H = (v^2/phi1) * diag(degrees) - (v/sqrt(phi1)) * A,
 
