@@ -4,8 +4,7 @@ Criteria 1-5 and 8-11 take their verdict and detail from the `validate`
 checks, the same functions behind `zetaspectra validate`.  The Monte Carlo
 criteria (6, 7 and 13) share one ensemble run at N = 2001 and one size sweep;
 both are module-scoped fixtures and dominate the module's wall time
-(about 13 s, mostly drawing the uniforms of the sampler), so they carry
-the `slow` marker.
+(about 2.5 s of 4.5 s), so they carry the `slow` marker.
 
 Tolerance note for criteria 6 and 7: the empirical mean at finite (N, R)
 carries a systematic finite-size offset that is deterministic and an order

@@ -78,7 +78,7 @@ UNREAD_FLAGS = [
     ["converge", "--n", "5"],
     ["sample", "--v", "1"],
     ["spectrum", "--kmax", "3"],
-    ["moments", "--trials", "2", "--threads", "2"],  # trials run in one thread
+    ["moments", "--trials", "2", "--threads", "2"],  # no thread pool over trials
 ]
 
 
