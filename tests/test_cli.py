@@ -78,7 +78,6 @@ UNREAD_FLAGS = [
     ["converge", "--n", "5"],
     ["sample", "--v", "1"],
     ["spectrum", "--kmax", "3"],
-    ["moments", "--trials", "2", "--threads", "2"],  # no thread pool over trials
 ]
 
 
@@ -95,6 +94,7 @@ def test_unread_flag_is_refused(argv, capsys):
 MODE_UNREAD_FLAGS = [
     (["moments", "--theory", "--n", "5", "--trials", "9", "--seed", "3", "--kmax", "2"], "--n"),
     (["moments", "--theory", "--R", "3"], "--R"),
+    (["moments", "--theory", "--threads", "2"], "--threads"),  # no mode reads it: no thread pool
     (["moments", "--bounds", "--format", "json"], "--format"),
     (["moments", "--theory", "--bounds"], "--bounds"),
     (["limits", "--what", "fgrid", "--v", "7"], "--v"),

@@ -203,6 +203,38 @@ def test_file_exports(tmp_path, gauss_profile):
     assert np.array_equal(dense, sample.entries)
 
 
+def dense_draw(n, radius, profile, seed):
+    """The stream-2 draw written out on dense N x N matrices: per redraw
+    round, walk the pending (d, i) in order and mark each cell; a cell
+    already marked this round sends its entry to the next redraw call.
+    Returns the edges, row-major."""
+    N = 2 * n + 1
+    offsets = np.arange(1, N)
+    rng = np.random.default_rng(seed)
+    d = np.repeat(offsets, rng.binomial(N - offsets, profile.phi(offsets / radius) / radius))
+    i = rng.integers(0, N - d)
+    while True:
+        marked = np.zeros((N, N), dtype=bool)
+        again = []
+        for k in range(d.size):
+            if marked[i[k], i[k] + d[k]]:
+                again.append(k)
+            marked[i[k], i[k] + d[k]] = True
+        if not again:
+            return np.stack(np.nonzero(marked))
+        i[again] = rng.integers(0, N - d[again])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 7, 150])
+@pytest.mark.parametrize("radius", [1.0, 2.5, 40.0])
+def test_sampler_keeps_the_dense_stream(family, n, radius):
+    profile = Profile.from_name(family, 0.5)
+    for seed in (0, 1, 20260810):
+        sample = sample_adjacency(n, radius, profile, seed)
+        assert np.array_equal(sample.edges, dense_draw(n, radius, profile, seed))
+
+
 # Stream-2 pins at seeds 0, 1 and 20260810: the edges "i-j" of small
 # samples, and the sha256 of the three `edges.tobytes()` of larger ones.
 PIN_SEEDS = (0, 1, 20260810)
