@@ -9,9 +9,9 @@ function is
 
 where the second term integrates log(1 + lambda) against the semicircle.
 A classical log-potential computation shows the difference vanishes
-identically for |v| <= 1 and equals v^2/2 - 2 log|v| - 1/(2 v^2) outside;
-both routes are computed numerically here and the closed form is kept to
-the test suite as an oracle.
+identically for |v| <= 1 and equals v^2/2 - 2 log|v| - 1/(2 v^2) outside.
+`log_zeta_limit` is that closed form; `semicircle_log_integral` computes
+the integral by adaptive quadrature and serves as its numerical oracle.
 """
 
 from __future__ import annotations
@@ -82,35 +82,14 @@ def stieltjes_transform(z: complex, v: float) -> complex:
     raise ArithmeticError("no admissible branch found")  # pragma: no cover
 
 
-def _chebyshev_second_integral(f, nodes: int) -> float:
-    """Integral of f(t) sqrt(1-t^2) over [-1, 1] by Gauss-Chebyshev (2nd kind)."""
-    theta = np.arange(1, nodes + 1) * math.pi / (nodes + 1)
-    weights = math.pi / (nodes + 1) * np.sin(theta) ** 2
-    return float(np.sum(weights * f(np.cos(theta))))
-
-
-def log_zeta_limit(v: float, tol: float = 1e-10, max_nodes: int = 1 << 22) -> float:
+def log_zeta_limit(v: float) -> float:
     """The limiting -(1/N) E log Z as a function of the rescaled parameter.
 
-    Gauss-Chebyshev nodes are doubled until two successive values agree to
-    tol.  At |v| = 1 the integrand has an integrable endpoint log
-    singularity and convergence is slow; past max_nodes this errors out.
+    Closed form: 0 for |v| <= 1, else v^2/2 - 2 log|v| - 1/(2 v^2).
     """
-    if v == 0.0:
+    if abs(v) <= 1.0:
         return 0.0
-
-    def integrand(t):
-        return np.log(1.0 + v * v + 2.0 * v * t)
-
-    nodes = 16
-    prev = None
-    while nodes <= max_nodes:
-        val = v * v / 2.0 - (2.0 / math.pi) * _chebyshev_second_integral(integrand, nodes)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        nodes *= 2
-    raise ArithmeticError(f"quadrature did not stabilize below {tol} within {max_nodes} nodes")
+    return v * v / 2.0 - 2.0 * math.log(abs(v)) - 1.0 / (2.0 * v * v)
 
 
 def semicircle_log_integral(v: float) -> float:

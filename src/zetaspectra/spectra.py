@@ -1,19 +1,23 @@
 """Spectra of sampled matrices and the log-determinant quantities.
 
-A sampled H is block-diagonal under a permutation: each connected
-component of its nonzero pattern is one block.  `eigenvalue_summary`
-reads H as CSR, finds the components and scatters the nonzeros straight
+`eigenvalue_summary` checks a sampled H and keeps it as CSR; the spectrum
+is solved on its first read, and the log-det never reads it.
+
+H is block-diagonal under a permutation: each connected component of its
+nonzero pattern is one block.  The spectrum scatters the nonzeros straight
 into one stack of dense blocks per block size, solved by one batched
-symmetric eigensolve; no N x N array is formed.  On the subcritical
-ensemble, a forest of small pieces, that is O(N + nnz) work; a giant
-component costs the dense solve of its own size.  Block entries outside
-the pattern hold the signed zero 0.0 * (-v/sqrt(phi1)), as the dense H
-did: LAPACK's Householder step branches on the sign of zero, and a +0.0
-fill moves the spectrum in the last digits.
+symmetric eigensolve; no N x N array is formed.  A forest of small pieces
+costs O(N + nnz); a giant component costs the dense solve of its own size.
+Block entries outside the pattern hold the signed zero 0.0 * (-v/sqrt(phi1)),
+as the dense H did: LAPACK's Householder step branches on the sign of zero,
+and a +0.0 fill moves the spectrum in the last digits.
+
+`log_det_density` factors (1 - v^2/phi1) I + H as a sparse LDL^T and sums
+the logs of its pivots.  By Sylvester's law of inertia the nonpositive
+pivots count the eigenvalues at or below -shift, the spectral crossing.
 
 The normalized log of the zeta function of a sampled graph splits into a
-prefactor term driven by the degree sum and a log-determinant term driven
-by the spectrum:
+prefactor term driven by the degree sum and the log-determinant term:
 
     -(1/N) log Z(u) = log_prefactor_density(degrees, u) + log_det_density(summary)
 
@@ -26,10 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "SpectralSummary",
@@ -48,34 +54,67 @@ TRACE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Sorted spectrum of one realization plus the (v, phi1) of its H."""
+    """One realization's checked H (canonical float64 CSR) and its (v, phi1)."""
 
-    eigenvalues: np.ndarray = field(repr=False)
+    h: csr_matrix = field(repr=False)
     v: float
     phi1: float
-    trace_check: float = 0.0
 
-    def __post_init__(self):
-        self.eigenvalues.flags.writeable = False
+    eigenvalues = property(lambda self: self._spectrum[0], doc="Ascending; solved on first read.")
+    trace_check = property(lambda self: self._spectrum[1], doc="|eigenvalue sum - trace|.")
 
     @property
     def size(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.h.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, float]:
+        """Sorted spectrum, one block at a time, checked against the trace."""
+        h, n = self.h, self.size
+        rows = np.repeat(np.arange(n), np.diff(h.indptr))
+        cols, values = h.indices.astype(np.intp), h.data
+        diagonal = h.diagonal()
+        # A pair stored both ways lies in one strongly connected component, so on
+        # a symmetric pattern these are the connected components, found without a
+        # transpose; an entry with no stored mirror (at most 1e-12) is left out.
+        _, labels = connected_components(h, connection="strong")
+        # Vertices sorted by (block size, block), ascending within a block; each
+        # owns one block row of `size` cells in a flat buffer, so the blocks of
+        # each size s lie back to back as one (m_s, s, s) stack.
+        size = np.bincount(labels)[labels]
+        order = np.lexsort((labels, size))
+        cells = size[order]
+        group = np.searchsorted(cells, cells)  # sorted position where each size starts
+        row, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        row[order] = np.cumsum(cells) - cells
+        local[order] = (np.arange(n) - group) % cells
+        flat = np.full(int(cells.sum()), math.copysign(0.0, -self.v))  # = 0.0 * (-v / sqrt(phi1))
+        flat[row + local] = diagonal
+        inside = (rows != cols) & (labels[rows] == labels[cols])
+        flat[row[rows[inside]] + local[cols[inside]]] = values[inside]
+        heads = np.unique(group)
+        parts = [stack if s == 1 else np.linalg.eigvalsh(stack.reshape(-1, s, s)).ravel()
+                 for s, stack in zip(cells[heads], np.split(flat, row[order[heads[1:]]]))]
+        eigs = np.sort(np.concatenate(parts)) if parts else np.empty(0)
+        eigs.flags.writeable = False
+        trace = float(diagonal.sum())
+        gap = abs(float(eigs.sum()) - trace)
+        tol = TRACE_RTOL * n * max(1.0, abs(trace))
+        if gap > tol:
+            raise ArithmeticError(f"eigenvalue sum deviates from trace by {gap:.3e}")
+        return eigs, gap
 
 
 def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
-    """Full ascending spectrum of a symmetric matrix, one block at a time.
+    """Check a symmetric matrix, dense or scipy sparse, and keep a CSR copy.
 
-    h is square, dense or scipy sparse.  Rejects matrices that are not
-    symmetric to within 1e-12 entrywise (an entry whose mirror is not
-    stored reads against 0), and cross-checks the eigenvalue sum against
-    the trace.
+    Rejects matrices that are not symmetric to within 1e-12 entrywise (an
+    entry whose mirror is not stored reads against 0).  Solves nothing:
+    reading `eigenvalues` runs the block solve and its trace cross-check.
     """
-    h = h.tocsr() if issparse(h) else csr_matrix(np.asarray(h, dtype=float))
-    if not (h.has_canonical_format and h.data.all()):
-        h = h.copy()
-        h.sum_duplicates()  # sorted indices, no duplicates
-        h.eliminate_zeros()  # the stored pattern is the nonzero pattern
+    h = csr_matrix(h.astype(float) if issparse(h) else np.asarray(h, dtype=float))
+    h.sum_duplicates()  # sorted indices, no duplicates
+    h.eliminate_zeros()  # the stored pattern is the nonzero pattern
     n = h.shape[0]
     if h.shape[1] != n:
         raise ValueError("matrix must be square")
@@ -86,36 +125,7 @@ def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
     asym = np.abs(values - np.where(keys[at] == mirrors, values[at], 0.0)).max(initial=0.0)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max deviation {asym:.3e})")
-    diagonal = h.diagonal()
-
-    # A pair stored both ways lies in one strongly connected component, so on
-    # a symmetric pattern these are the connected components, found without a
-    # transpose; an entry with no stored mirror (at most 1e-12) is left out.
-    _, labels = connected_components(h, connection="strong")
-    # Vertices sorted by (block size, block), ascending within a block; each
-    # owns one block row of `size` cells in a flat buffer, so the blocks of
-    # each size s lie back to back as one (m_s, s, s) stack.
-    size = np.bincount(labels)[labels]
-    order = np.lexsort((labels, size))
-    cells = size[order]
-    group = np.searchsorted(cells, cells)  # sorted position where each size starts
-    row, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    row[order] = np.cumsum(cells) - cells
-    local[order] = (np.arange(n) - group) % cells
-    flat = np.full(int(cells.sum()), math.copysign(0.0, -v))  # = 0.0 * (-v / sqrt(phi1))
-    flat[row + local] = diagonal
-    inside = (rows != cols) & (labels[rows] == labels[cols])
-    flat[row[rows[inside]] + local[cols[inside]]] = values[inside]
-    heads = np.unique(group)
-    parts = [stack if s == 1 else np.linalg.eigvalsh(stack.reshape(-1, s, s)).ravel()
-             for s, stack in zip(cells[heads], np.split(flat, row[order[heads[1:]]]))]
-    eigs = np.sort(np.concatenate(parts)) if parts else np.empty(0)
-    trace = float(diagonal.sum())
-    gap = abs(float(eigs.sum()) - trace)
-    tol = TRACE_RTOL * n * max(1.0, abs(trace))
-    if gap > tol:
-        raise ArithmeticError(f"eigenvalue sum deviates from trace by {gap:.3e}")
-    return SpectralSummary(eigenvalues=eigs, v=v, phi1=phi1, trace_check=gap)
+    return SpectralSummary(h=h, v=v, phi1=phi1)
 
 
 def counting_function(summary: SpectralSummary, lam: float) -> float:
@@ -134,19 +144,30 @@ def empirical_moment(summary: SpectralSummary, k: int) -> float:
 
 
 def log_det_density(summary: SpectralSummary) -> float:
-    """(1/N) log det((1 - v^2/phi1) I + H) through the spectrum.
+    """(1/N) log det((1 - v^2/phi1) I + H) from a sparse LDL^T factorization.
 
-    Any nonpositive argument means the shifted matrix crossed zero; that is
-    a hard error carrying the offending eigenvalue.
+    SuperLU factors the shifted matrix in a symmetric fill-reducing order
+    with diagonal pivots only, so U's diagonal holds the LDL^T pivots.  A
+    nonpositive pivot (by inertia, one per eigenvalue of H at or below
+    -shift), an exactly singular factor, or a row swap (after which the
+    pivots are not LDL^T pivots) is the spectral-crossing error.
     """
     shift = 1.0 - summary.v**2 / summary.phi1
-    args = shift + summary.eigenvalues
-    if np.any(args <= 0.0):
-        bad = float(summary.eigenvalues[int(np.argmin(args))])
-        raise ValueError(
-            f"log-determinant argument nonpositive (spectral crossing) at eigenvalue {bad!r}"
-        )
-    return float(np.mean(np.log(args)))
+    crossing = "log-determinant argument nonpositive (spectral crossing)"
+    try:
+        lu = splu((summary.h + shift * identity(summary.size)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        if "exactly singular" not in str(exc):
+            raise
+        raise ValueError(f"{crossing}: a zero pivot") from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError(f"{crossing}: a zero pivot forced a row swap")
+    pivots = lu.U.diagonal()
+    bad = int(np.count_nonzero(pivots <= 0.0))
+    if bad:
+        raise ValueError(f"{crossing}: {bad} eigenvalue(s) of H at or below -shift = {-shift!r}")
+    return float(np.log(pivots).sum() / summary.size)
 
 
 def log_prefactor_density(degrees: np.ndarray, u: float) -> float:

@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import block_diag
 from scipy.sparse import coo_matrix, csr_matrix, issparse
 
+from zetaspectra import spectra
 from zetaspectra.graphs import cycle_graph
 from zetaspectra.percolation import Profile, build_h, sample_adjacency
 from zetaspectra.spectra import (
-    SpectralSummary,
     counting_function,
     eigenvalue_summary,
     empirical_moment,
@@ -21,7 +21,7 @@ from zetaspectra.zeta import ihara_det_reciprocal
 
 
 def summary_from_eigs(eigs, v=1.0, phi1=1.0):
-    return SpectralSummary(eigenvalues=np.sort(np.asarray(eigs, dtype=float)), v=v, phi1=phi1)
+    return eigenvalue_summary(np.diag(np.asarray(eigs, dtype=float)), v=v, phi1=phi1)
 
 
 class TestEigenvalueSummary:
@@ -177,15 +177,55 @@ class TestLogDetDensity:
         with pytest.raises(ValueError, match="spectral crossing"):
             log_det_density(s)
 
-    def test_matches_lu_logdet(self, gauss_profile):
-        sample = sample_adjacency(80, 3.0, gauss_profile, seed=12)
-        v, phi1 = 0.5, gauss_profile.phi1
-        h = build_h(sample.entries, sample.degrees(), v, phi1).toarray()
-        s = eigenvalue_summary(h, v=v, phi1=phi1)
-        n = h.shape[0]
-        sign, logdet = np.linalg.slogdet((1 - v * v / phi1) * np.eye(n) + h)
-        assert sign > 0
-        assert log_det_density(s) == pytest.approx(logdet / n, rel=1e-8)
+    def test_matches_lu_logdet(self):
+        # one loop, not a parametrization, so the test keeps its id
+        for family, amplitude, n, radius, seed in (
+            ("gauss", 0.5, 80, 3.0, 12),  # subcritical forest, N = 161
+            ("exp", 0.9, 1000, 40.0, 3),  # supercritical, giant of ~70% of N = 2001
+        ):
+            profile = Profile.from_name(family, amplitude)
+            sample = sample_adjacency(n, radius, profile, seed=seed)
+            v, phi1 = 0.5, profile.phi1
+            h = build_h(sample.adjacency(), sample.degrees(), v, phi1)
+            s = eigenvalue_summary(h, v=v, phi1=phi1)
+            shift = 1 - v * v / phi1
+            value = log_det_density(s)
+            sign, logdet = np.linalg.slogdet(shift * np.eye(s.size) + h.toarray())
+            assert sign > 0
+            assert value == pytest.approx(logdet / s.size, abs=1e-12)
+            assert value == pytest.approx(np.mean(np.log(shift + s.eigenvalues)), abs=1e-12)
+
+    @pytest.mark.parametrize("v", [0.8, 1.0, 1.2, 1.3])
+    def test_refuses_exactly_at_crossing(self, v):
+        # by inertia the count of nonpositive pivots is the count of
+        # eigenvalues at or below -shift; exp 0.9 has phi1 = 1.8 > v^2
+        profile = Profile.from_name("exp", 0.9)
+        shift = 1 - v * v / profile.phi1
+        for seed in range(20):
+            sample = sample_adjacency(100, 40.0, profile, seed=seed)
+            h = build_h(sample.adjacency(), sample.degrees(), v, profile.phi1)
+            s = eigenvalue_summary(h, v, profile.phi1)
+            below = int(np.count_nonzero(shift + np.linalg.eigvalsh(h.toarray()) <= 0.0))
+            if below:
+                with pytest.raises(ValueError, match=rf"spectral crossing\): {below} eigenvalue"):
+                    log_det_density(s)
+            else:
+                assert math.isfinite(log_det_density(s))
+
+    def test_runs_no_eigensolve(self, monkeypatch):
+        profile = Profile.from_name("exp", 0.9)
+        sample = sample_adjacency(200, 40.0, profile, seed=5)
+        degrees = sample.degrees()
+        h = build_h(sample.adjacency(), degrees, 0.5, profile.phi1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(spectra.np.linalg, "eigvalsh", refuse)
+        s = eigenvalue_summary(h, v=0.5, phi1=profile.phi1)
+        assert math.isfinite(neg_log_zeta_density(degrees, s))
+        with pytest.raises(AssertionError, match="eigensolve called"):
+            s.eigenvalues  # the spectrum is solved only when it is read
 
 
 class TestPrefactorDensity:
