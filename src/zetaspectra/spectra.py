@@ -1,10 +1,8 @@
 """Spectra of sampled matrices and the log-determinant quantities.
 
-`eigenvalue_summary` checks a sampled H and keeps it as CSR; the spectrum
-is solved on its first read, and the log-det never reads it.
-
-H is block-diagonal under a permutation: each connected component of its
-nonzero pattern is one block.  The spectrum scatters the nonzeros straight
+`eigenvalue_summary` checks a sampled H; its spectrum is solved on first
+read.  H is block-diagonal under a permutation: each connected component
+of its nonzero pattern is one block.  The solve scatters the nonzeros straight
 into one stack of dense blocks per block size, solved by one batched
 symmetric eigensolve; no N x N array is formed.  A forest of small pieces
 costs O(N + nnz); a giant component costs the dense solve of its own size.
@@ -54,7 +52,7 @@ TRACE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """One realization's checked H (canonical float64 CSR) and its (v, phi1)."""
+    """One realization's checked H (canonical CSR) and its (v, phi1)."""
 
     h: csr_matrix = field(repr=False)
     v: float
@@ -106,15 +104,17 @@ class SpectralSummary:
 
 
 def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
-    """Check a symmetric matrix, dense or scipy sparse, and keep a CSR copy.
+    """Check a symmetric matrix, dense or scipy sparse, and keep it as CSR.
 
     Rejects matrices that are not symmetric to within 1e-12 entrywise (an
-    entry whose mirror is not stored reads against 0).  Solves nothing:
-    reading `eigenvalues` runs the block solve and its trace cross-check.
+    entry whose mirror is not stored reads against 0).  Solves nothing: the
+    summary keeps h itself when it is canonical CSR, so do not modify it.
     """
-    h = csr_matrix(h.astype(float) if issparse(h) else np.asarray(h, dtype=float))
-    h.sum_duplicates()  # sorted indices, no duplicates
-    h.eliminate_zeros()  # the stored pattern is the nonzero pattern
+    h = h.tocsr() if issparse(h) else csr_matrix(np.asarray(h, dtype=float))
+    if not (h.has_canonical_format and h.data.all()):
+        h = h.copy()
+        h.sum_duplicates()  # sorted indices, no duplicates
+        h.eliminate_zeros()  # the stored pattern is the nonzero pattern
     n = h.shape[0]
     if h.shape[1] != n:
         raise ValueError("matrix must be square")

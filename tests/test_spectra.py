@@ -176,6 +176,14 @@ class TestLogDetDensity:
         s = summary_from_eigs([-2.0, 0.0, 1.0], v=0.5, phi1=1.0)
         with pytest.raises(ValueError, match="spectral crossing"):
             log_det_density(s)
+        # v = 0, so the shift is 1: the shifted matrix has a zero pivot with
+        # a nonzero below it (a row swap), or is singular
+        for h, reason in (
+            ([[-1.0, 1.0], [1.0, -1.0]], "row swap"),
+            ([[-1.0, 0.0], [0.0, 2.0]], "zero pivot"),
+        ):
+            with pytest.raises(ValueError, match=rf"spectral crossing\): .*{reason}"):
+                log_det_density(eigenvalue_summary(np.array(h), v=0.0, phi1=1.0))
 
     def test_matches_lu_logdet(self):
         # one loop, not a parametrization, so the test keeps its id
