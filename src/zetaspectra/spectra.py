@@ -155,8 +155,8 @@ def log_det_density(summary: SpectralSummary) -> float:
     shift = 1.0 - summary.v**2 / summary.phi1
     crossing = "log-determinant argument nonpositive (spectral crossing)"
     try:
-        lu = splu((summary.h + shift * identity(summary.size)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(summary.h.tocsc() + shift * identity(summary.size, format="csc"),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         if "exactly singular" not in str(exc):
             raise
