@@ -186,7 +186,6 @@ class TestLogDetDensity:
                 log_det_density(eigenvalue_summary(np.array(h), v=0.0, phi1=1.0))
 
     def test_matches_lu_logdet(self):
-        # one loop, not a parametrization, so the test keeps its id
         for family, amplitude, n, radius, seed in (
             ("gauss", 0.5, 80, 3.0, 12),  # subcritical forest, N = 161
             ("exp", 0.9, 1000, 40.0, 3),  # supercritical, giant of ~70% of N = 2001
