@@ -323,7 +323,7 @@ def _cmd_zeta(args) -> int:
         payload["reciprocal_at_u"] = zeta.ihara_det_reciprocal(adj, args.u)
     gap = 0
     if args.check_order:
-        gap = zeta.series_consistency(adj, args.check_order)
+        gap = zeta.series_consistency(adj, poly, args.check_order)
         payload["series_gap"] = str(gap)
     _emit(json.dumps(payload, indent=1) + "\n", args.out, args)
     return 1 if gap else 0

@@ -170,7 +170,7 @@ def check_bound_lemmas(order_max: int = 8) -> CheckResult:
 def check_zeta_series(order: int = 10) -> CheckResult:
     bad = []
     for name, adj in graphs.zeta_corpus():
-        gap = zeta.series_consistency(adj, order)
+        gap = zeta.series_consistency(adj, zeta.zeta_reciprocal_polynomial(adj), order)
         if gap != 0:
             bad.append(name)
     return CheckResult(

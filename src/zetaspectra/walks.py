@@ -33,7 +33,6 @@ __all__ = [
     "diagram_of_walk",
     "is_tree_type",
     "diagram_weight",
-    "root_exit_count",
     "enumerate_tree_walks",
     "is_valid_tree_walk",
     "walk_profile",
@@ -144,18 +143,6 @@ def diagram_weight(diagram: Diagram, v: float, phi1: float) -> float:
     return out
 
 
-def root_exit_count(walk: Walk) -> int:
-    """Number of steps whose source position is the root letter."""
-    anchor = 1
-    exits = 0
-    for idx in range(1, len(walk.letters)):
-        if anchor == 1:
-            exits += 1
-        if not walk.generalized[idx]:
-            anchor = walk.letters[idx]
-    return exits
-
-
 def is_valid_tree_walk(walk: Walk) -> bool:
     """Membership predicate for the tree-type walk stream of k steps.
 
@@ -172,41 +159,41 @@ def is_valid_tree_walk(walk: Walk) -> bool:
     return is_tree_type(diagram)
 
 
-def enumerate_tree_walks(k: int) -> list[Walk]:
-    """All tree-type closed walks of exactly k steps, lexicographic order.
+def _search_tree_walks(k: int, leaf) -> None:
+    """Depth-first search calling leaf(letters, marks, exits, reds, nverts)
+    on each tree-type closed walk of k steps, in lexicographic order, with
+    its root-exit count, red-step count and number of distinct letters.
 
-    The search is depth-first over (target letter, ordinary or generalized)
-    choices.  Branches are pruned when the partial skeleton would acquire a
-    cycle or when the walker can no longer reach the root in the remaining
-    steps (the tree distance to the root equals the number of odd blue
-    multiplicities, so this prune also enforces evenness).
+    The choices are (target letter, ordinary or generalized).  Branches are
+    pruned when the partial skeleton would acquire a cycle or when the
+    walker can no longer reach the root in the remaining steps (the tree
+    distance to the root equals the number of odd blue multiplicities, so
+    this prune also enforces evenness).
     """
     if not 1 <= k <= MAX_STEPS:
         raise WalkBudgetError(f"k={k} outside enumeration budget 1..{MAX_STEPS}")
 
-    walks: list[Walk] = []
-    letters = [1]
-    marks = [False]
-    # skeleton state: parent/depth per vertex, neighbor sets
-    parent = {1: 0}
+    letters, marks = [1], [False]
+    # skeleton state: depth per vertex, neighbor lists
     depth = {1: 0}
     neighbors: dict[int, list[int]] = {1: []}
 
-    def descend(anchor: int, nverts: int, remaining: int) -> None:
+    def descend(anchor: int, nverts: int, remaining: int, exits: int, reds: int) -> None:
         if remaining == 0:
             if anchor == 1:
-                walks.append(Walk(tuple(letters), tuple(marks)))
+                leaf(letters, marks, exits, reds, nverts)
             return
         if depth[anchor] > remaining:
             return
+        exits += anchor == 1
         # existing skeleton neighbors first (sorted), then the fresh letter
+        targets = sorted(neighbors[anchor]) + [nverts + 1]
         for red in (False, True):
             if red and depth[anchor] == remaining:
                 continue  # every remaining step must walk toward the root
-            for target in sorted(neighbors[anchor]) + [nverts + 1]:
+            for target in targets:
                 fresh = target == nverts + 1
                 if fresh:
-                    parent[target] = anchor
                     depth[target] = depth[anchor] + 1
                     neighbors[target] = [anchor]
                     neighbors[anchor].append(target)
@@ -214,30 +201,39 @@ def enumerate_tree_walks(k: int) -> list[Walk]:
                     continue  # moving away with no way back
                 letters.append(target)
                 marks.append(red)
-                descend(anchor if red else target, nverts + fresh, remaining - 1)
+                descend(anchor if red else target, nverts + fresh, remaining - 1, exits, reds + red)
                 letters.pop()
                 marks.pop()
                 if fresh:
                     neighbors[anchor].pop()
-                    del neighbors[target], parent[target], depth[target]
+                    del neighbors[target], depth[target]
 
-    descend(1, 1, k)
+    descend(1, 1, k, 0, 0)
+
+
+def enumerate_tree_walks(k: int) -> list[Walk]:
+    """All tree-type closed walks of exactly k steps, lexicographic order."""
+    walks: list[Walk] = []
+    _search_tree_walks(k, lambda letters, marks, *_: walks.append(Walk(tuple(letters), tuple(marks))))
     return walks
 
 
 @lru_cache(maxsize=None)
 def walk_profile(k: int):
-    """Aggregate the k-step walk stream by (root exits, total edge order q,
+    """Count the k-step walk stream by (root exits, total edge order q,
     edge count E); the weight of each class is v^(2q) * phi1^(E - q).
 
-    Purely combinatorial, so the table is independent of (v, phi1) and is
-    cached per k.
+    Counted during the search, without building walks: blue multiplicities
+    of tree-type walks are even, so q = (k + red steps) / 2, and the
+    skeleton is a tree, so E = letters - 1.  The table is independent of
+    (v, phi1) and cached per k.
     """
     profile: Counter = Counter()
-    for walk in enumerate_tree_walks(k):
-        diagram = diagram_of_walk(walk)
-        q = sum(b // 2 + r for b, r in diagram.edge_counts.values())
-        profile[(root_exit_count(walk), q, len(diagram.edge_counts))] += 1
+
+    def count(letters, marks, exits, reds, nverts):
+        profile[(exits, (k + reds) // 2, nverts - 1)] += 1
+
+    _search_tree_walks(k, count)
     return dict(profile)
 
 

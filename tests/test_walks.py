@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,6 @@ from zetaspectra.walks import (
     is_valid_tree_walk,
     oracle_moment,
     oracle_tree_weight,
-    root_exit_count,
     walk_profile,
 )
 
@@ -30,6 +30,19 @@ WALK_12 = Walk(
 # walk counts per step number, frozen after two independent routes agreed
 # (enumeration and the weight recurrence evaluated at v = phi1 = 1)
 WALK_COUNTS = {1: 1, 2: 3, 3: 11, 4: 46, 5: 212, 6: 1055, 7: 5595, 8: 31347}
+
+
+def root_exit_count(walk: Walk) -> int:
+    """Number of steps whose source position is the root letter, read off
+    the listed walk; the search counts the same exits on its way down."""
+    anchor = 1
+    exits = 0
+    for idx in range(1, len(walk.letters)):
+        if anchor == 1:
+            exits += 1
+        if not walk.generalized[idx]:
+            anchor = walk.letters[idx]
+    return exits
 
 
 def format_walk(walk: Walk) -> str:
@@ -185,6 +198,20 @@ class TestOracle:
         second = walk_profile(4)
         assert first == second
         assert sum(first.values()) == WALK_COUNTS[4]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_profile_matches_the_listed_walks(self, k):
+        # the classes read off each walk's diagram, one walk at a time
+        listed = Counter()
+        for walk in enumerate_tree_walks(k):
+            diagram = diagram_of_walk(walk)
+            q = sum(b // 2 + r for b, r in diagram.edge_counts.values())
+            listed[(root_exit_count(walk), q, len(diagram.edge_counts))] += 1
+        assert walk_profile(k) == dict(listed)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_profile_counts_frozen(self, k):
+        assert sum(walk_profile(k).values()) == WALK_COUNTS[k]
 
 
 def test_format_parse_roundtrip():
