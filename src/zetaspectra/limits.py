@@ -11,7 +11,10 @@ where the second term integrates log(1 + lambda) against the semicircle.
 A classical log-potential computation shows the difference vanishes
 identically for |v| <= 1 and equals v^2/2 - 2 log|v| - 1/(2 v^2) outside.
 `log_zeta_limit` is that closed form; `semicircle_log_integral` computes
-the integral by adaptive quadrature and serves as its numerical oracle.
+the integral with a fixed Gauss-Chebyshev rule and serves as its numerical
+oracle.  The same rule gives `semicircle_moment`, the oracle for the
+dense-degree moment recurrence.  The rule shares no code with either route
+it checks, and it needs no quadrature library.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "semicircle_support",
@@ -32,7 +34,14 @@ __all__ = [
     "gauss_rule_from_moments",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+# Node count of the Gauss-Chebyshev rule behind both quadrature oracles.  The
+# rule is exact for moments below order 2 * _RULE_NODES and converges
+# geometrically for log(1 + lambda) when the support stays off -1.  At
+# |v| = 1 the support touches -1 and the error falls only as n^-3 (measured
+# against the exact value 1/2: 1.1e-9 at 1024 nodes, 1.7e-11 at 4096,
+# 2.2e-12 at 8192), so 4096 keeps it three orders below the 1e-8 checks in
+# `validate` at about 0.1 ms per call.
+_RULE_NODES = 4096
 
 
 def semicircle_support(v: float) -> tuple[float, float]:
@@ -49,13 +58,26 @@ def semicircle_density(lam: float, v: float) -> float:
     return math.sqrt(max(4.0 * v * v - (lam - v * v) ** 2, 0.0)) / (2.0 * math.pi * v * v)
 
 
+def _semicircle_rule(v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Chebyshev rule of the second kind mapped onto the semicircle.
+
+    Nodes v^2 + 2|v| cos(j pi/(n+1)) and weights 2/(n+1) sin^2(j pi/(n+1)),
+    j = 1..n: the Gauss rule of the shifted semicircle law itself.
+    """
+    semicircle_support(v)  # refuses v = 0
+    theta = np.arange(1, _RULE_NODES + 1) * (math.pi / (_RULE_NODES + 1))
+    nodes = v * v + 2.0 * abs(v) * np.cos(theta)
+    weights = 2.0 / (_RULE_NODES + 1) * np.sin(theta) ** 2
+    return nodes, weights
+
+
 def semicircle_moment(k: int, v: float) -> float:
-    """Moment of order k by adaptive quadrature over the support."""
+    """Moment of order k by the fixed Gauss-Chebyshev rule, exact up to
+    rounding for k < 2 * _RULE_NODES."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    lo, hi = semicircle_support(v)
-    val, _ = integrate.quad(lambda x: x**k * semicircle_density(x, v), lo, hi, **_QUAD_OPTS)
-    return val
+    nodes, weights = _semicircle_rule(v)
+    return float(np.dot(weights, nodes**k))
 
 
 def stieltjes_transform(z: complex, v: float) -> complex:
@@ -95,21 +117,17 @@ def log_zeta_limit(v: float) -> float:
 def semicircle_log_integral(v: float) -> float:
     """Integral of log(1 + lambda) against the shifted semicircle.
 
-    Uses the substitution lambda = v^2 + 2 v sin(theta), which removes the
-    square-root endpoint behavior; the integrand then vanishes
-    quadratically at the endpoints even when the support touches -1.
+    Sums the fixed Gauss-Chebyshev rule.  Where the support touches -1
+    (|v| = 1) the rule's weights vanish quadratically at the endpoint, so
+    the sum stays finite and converges algebraically (see _RULE_NODES).
     """
     if v == 0.0:
         raise ValueError("v = 0 degenerates the semicircle")
     lo, _ = semicircle_support(v)
     if lo < -1.0:
         raise ValueError("support crosses lambda = -1; the integral diverges")
-
-    def integrand(theta):
-        return math.log(1.0 + v * v + 2.0 * v * math.sin(theta)) * math.cos(theta) ** 2
-
-    val, _ = integrate.quad(integrand, -math.pi / 2.0, math.pi / 2.0, **_QUAD_OPTS)
-    return 2.0 / math.pi * val
+    nodes, weights = _semicircle_rule(v)
+    return float(np.dot(weights, np.log1p(nodes)))
 
 
 def gauss_rule_from_moments(moments) -> tuple[np.ndarray, np.ndarray]:

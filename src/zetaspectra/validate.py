@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -242,16 +243,14 @@ def stieltjes_tail_within_bound(z_values=(4, 6, 10), terms: int = 41) -> bool:
     already at z = 10, so the comparison runs at 60 significant digits; the
     moments themselves are exact integers at v = 1.
     """
-    import mpmath
-
     mu = [int(round(m)) for m in moments.dense_moments(terms - 1, 1.0)]
-    with mpmath.workdps(60):
+    with localcontext() as ctx:
+        ctx.prec = 60
         for z in z_values:
-            g = (-(z - 1) + mpmath.sqrt((z - 1) ** 2 - 4)) / 2
-            series = -mpmath.fsum(
-                mpmath.mpf(mu[k]) / mpmath.mpf(z) ** (k + 1) for k in range(terms)
-            )
-            bound = mpmath.mpf(3) ** terms / mpmath.mpf(z) ** terms / (z - 3)
+            z = Decimal(z)
+            g = (-(z - 1) + ((z - 1) ** 2 - 4).sqrt()) / 2
+            series = -sum(Decimal(mu[k]) / z ** (k + 1) for k in range(terms))
+            bound = Decimal(3) ** terms / z**terms / (z - 3)
             if abs(g - series) > bound:
                 return False
     return True

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +406,28 @@ class TestValidate:
         report = json.loads(out.read_text())
         assert report["all_passed"] is True
         assert len(report["checks"]) >= 10
+
+    def test_import_path_stays_light(self, tmp_path):
+        # the quadrature oracles and the series tail check need neither
+        # scipy's quadrature stack nor mpmath; a stray import of either puts
+        # about 0.2 s and 19 MB back on every command
+        script = (
+            "import json, sys\n"
+            "from zetaspectra.cli import main\n"
+            "assert main(['validate', '--out', 'report.json']) == 0\n"
+            "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'mpmath')\n"
+            "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_injected_binomial_fault_is_caught(self, monkeypatch, capsys):
         # perturbing the degenerate row of the extended binomial silently
