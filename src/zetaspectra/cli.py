@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -363,7 +364,10 @@ def _cmd_validate(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it is a pure function of this
+    module, and parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="zetaspectra",
         description="Random-matrix spectra from the zeta determinant formula "

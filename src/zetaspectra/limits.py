@@ -44,7 +44,13 @@ __all__ = [
 _RULE_NODES = 4096
 
 
+def _check_v(v: float) -> None:
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
+
+
 def semicircle_support(v: float) -> tuple[float, float]:
+    _check_v(v)
     if v == 0.0:
         raise ValueError("v = 0 degenerates the semicircle to a point mass")
     return v * v - 2.0 * abs(v), v * v + 2.0 * abs(v)
@@ -64,7 +70,7 @@ def _semicircle_rule(v: float) -> tuple[np.ndarray, np.ndarray]:
     Nodes v^2 + 2|v| cos(j pi/(n+1)) and weights 2/(n+1) sin^2(j pi/(n+1)),
     j = 1..n: the Gauss rule of the shifted semicircle law itself.
     """
-    semicircle_support(v)  # refuses v = 0
+    semicircle_support(v)  # refuses v = 0 and non-finite v
     theta = np.arange(1, _RULE_NODES + 1) * (math.pi / (_RULE_NODES + 1))
     nodes = v * v + 2.0 * abs(v) * np.cos(theta)
     weights = 2.0 / (_RULE_NODES + 1) * np.sin(theta) ** 2
@@ -109,6 +115,7 @@ def log_zeta_limit(v: float) -> float:
 
     Closed form: 0 for |v| <= 1, else v^2/2 - 2 log|v| - 1/(2 v^2).
     """
+    _check_v(v)
     if abs(v) <= 1.0:
         return 0.0
     return v * v / 2.0 - 2.0 * math.log(abs(v)) - 1.0 / (2.0 * v * v)
@@ -117,15 +124,11 @@ def log_zeta_limit(v: float) -> float:
 def semicircle_log_integral(v: float) -> float:
     """Integral of log(1 + lambda) against the shifted semicircle.
 
-    Sums the fixed Gauss-Chebyshev rule.  Where the support touches -1
-    (|v| = 1) the rule's weights vanish quadratically at the endpoint, so
-    the sum stays finite and converges algebraically (see _RULE_NODES).
+    Sums the fixed Gauss-Chebyshev rule.  The support never crosses -1:
+    v^2 - 2|v| >= -1 holds in floating point too, with equality at |v| = 1.
+    There the rule's weights vanish quadratically at the endpoint, so the
+    sum stays finite and converges algebraically (see _RULE_NODES).
     """
-    if v == 0.0:
-        raise ValueError("v = 0 degenerates the semicircle")
-    lo, _ = semicircle_support(v)
-    if lo < -1.0:
-        raise ValueError("support crosses lambda = -1; the integral diverges")
     nodes, weights = _semicircle_rule(v)
     return float(np.dot(weights, np.log1p(nodes)))
 

@@ -91,9 +91,24 @@ def _check_params(phi1: float) -> None:
         raise ValueError(f"phi1 must be positive, got {phi1}")
 
 
-def _compose(k_max: int, first_edge, exit_scale) -> list[list[float]]:
-    """T[k][r] = sum_g sum_s exit_scale(g) C(r-1, g-1) T[s][r-g] F(k-s, g) for
-    0 <= r <= k <= k_max, T[0][0] = 1.  Each F(k, g) = first_edge(table, k, g)
+def _binomial_rows(k_max: int) -> dict[int, dict[int, int]]:
+    """rows[a][b] = extended_binomial(a, b) on the domain the recurrences of
+    order k_max read, -1 <= a <= k_max and 0 <= b <= a + 1; a lookup outside
+    it raises KeyError.  Built through the module attribute at call time, so
+    a patched extended_binomial reaches every table."""
+    return {a: {b: extended_binomial(a, b) for b in range(a + 2)} for a in range(-1, k_max + 1)}
+
+
+def _edge_scales(k_max: int, v: float, phi1: float) -> list[float]:
+    """scales[e] = v^(2e)/phi1^(e-1) for 0 <= e <= k_max."""
+    v2 = v * v
+    return [v2**e / phi1 ** (e - 1) for e in range(k_max + 1)]
+
+
+def _compose(k_max: int, binom, first_edge, exit_scales) -> list[list[float]]:
+    """T[k][r] = sum_g sum_s exit_scales[g] C(r-1, g-1) T[s][r-g] F(k-s, g) for
+    0 <= r <= k <= k_max, T[0][0] = 1, with C read from binom, which holds
+    _binomial_rows(k_max - 1) at least.  Each F(k, g) = first_edge(table, k, g)
     reads rows below k only and is computed once, at the start of row k."""
     if k_max < 0:
         raise ValueError(f"order must be >= 0, got {k_max}")
@@ -104,10 +119,11 @@ def _compose(k_max: int, first_edge, exit_scale) -> list[list[float]]:
         firsts.append([0.0] + [first_edge(table, k, g) for g in range(1, k + 1)])
         for r in range(1, k + 1):
             total = 0.0
+            row = binom[r - 1]
             for g in range(1, r + 1):
                 # the scale stays a factor of its own, multiplied in this
                 # order: folded into F it changes the last bits of the tables
-                coef = exit_scale(g) * extended_binomial(r - 1, g - 1)
+                coef = exit_scales[g] * row[g - 1]
                 for s in range(r - g, k - g + 1):
                     left = table[s][r - g]
                     if left == 0.0:
@@ -122,8 +138,13 @@ def tree_weight_table(k_max: int, v: float, phi1: float) -> list[list[float]]:
     walks of k steps split at their first root edge into g root steps along
     it, an s-step remainder at the root, and the first-edge rest."""
     _check_params(phi1)
+    binom = _binomial_rows(k_max)
+    scales = _edge_scales(k_max, v, phi1)
     return _compose(
-        k_max, lambda table, ks, g: _first_edge_weight_from(table, ks, g, v, phi1), lambda g: 1.0
+        k_max,
+        binom,
+        lambda table, ks, g: _first_edge_weight_from(table, binom, scales, ks, g),
+        [1.0] * (k_max + 1),
     )
 
 
@@ -137,27 +158,28 @@ def first_edge_weight(ks: int, g: int, v: float, phi1: float) -> float:
     if g < 1 or g > ks:
         raise ValueError(f"need 1 <= g <= ks, got g={g}, ks={ks}")
     table = tree_weight_table(max(ks - g, 0), v, phi1)
-    return _first_edge_weight_from(table, ks, g, v, phi1)
+    return _first_edge_weight_from(table, _binomial_rows(ks), _edge_scales(ks, v, phi1), ks, g)
 
 
-def _first_edge_weight_from(table, ks: int, g: int, v: float, phi1: float) -> float:
+def _first_edge_weight_from(table, binom, scales, ks: int, g: int) -> float:
     """ks-step walks with g root steps along the first root edge, w doubled
     (paired) traversals, h out-and-back excursions from the far endpoint
-    back to the root, and a t-branch sub-walk hanging off the far endpoint."""
-    v2 = v * v
+    back to the root, and a t-branch sub-walk hanging off the far endpoint.
+    binom is _binomial_rows(k) and scales is _edge_scales(k, v, phi1), k >= ks."""
     total = 0.0
     for w in range(0, g + 1):
-        cgw = extended_binomial(g, w)
+        cgw = binom[g][w]
         for h in range(0, ks - g - w + 1):
-            c_wh = extended_binomial(w + h - 1, h)
+            c_wh = binom[w + h - 1][h]
             if c_wh == 0:
                 continue
-            scale = v2 ** (g + h) / phi1 ** (g + h - 1) * cgw * c_wh
+            scale = scales[g + h] * cgw * c_wh
+            rest = table[ks - g - w - h]
             for t in range(0, ks - g - w - h + 1):
-                c_t = extended_binomial(w + h + t - 1, t)
+                c_t = binom[w + h + t - 1][t]
                 if c_t == 0:
                     continue
-                total += scale * c_t * table[ks - g - w - h][t]
+                total += scale * c_t * rest[t]
     return total
 
 
@@ -169,6 +191,8 @@ def tree_weight_split(k_max: int, v: float, phi1: float) -> list[list[float]]:
     _check_params(phi1)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    binom = _binomial_rows(k_max)
+    scales = _edge_scales(k_max, v, phi1)
     table = [[0.0] * (k + 1) for k in range(k_max + 1)]
     table[0][0] = 1.0
     for k in range(1, k_max + 1):
@@ -176,10 +200,10 @@ def tree_weight_split(k_max: int, v: float, phi1: float) -> list[list[float]]:
             total = 0.0
             for g in range(1, r + 1):
                 for s in range(r - g, k - g + 1):
-                    outer = extended_binomial(r - 1, g - 1) * table[s][r - g]
+                    outer = binom[r - 1][g - 1] * table[s][r - g]
                     if outer == 0.0:
                         continue
-                    total += outer * _first_edge_weight_from(table, k - s, g, v, phi1)
+                    total += outer * _first_edge_weight_from(table, binom, scales, k - s, g)
             table[k][r] = total
     return table
 
@@ -223,15 +247,16 @@ def adjacency_weight_table(p_max: int, v: float, phi1: float) -> list[list[float
     """Triangular table of root-exit-resolved adjacency walk weights, with
     exit scale v^(2g)/phi1^(g-1) and F(ps, g) = sum_t C(g+t-1, t) A[ps-g][t]."""
     _check_params(phi1)
-    v2 = v * v
+    binom = _binomial_rows(p_max - 1)
 
     def first_edge(table, ps, g):
         inner = 0.0
+        rest = table[ps - g]
         for t in range(0, ps - g + 1):
-            inner += extended_binomial(g + t - 1, t) * table[ps - g][t]
+            inner += binom[g + t - 1][t] * rest[t]
         return inner
 
-    return _compose(p_max, first_edge, lambda g: v2**g / phi1 ** (g - 1))
+    return _compose(p_max, binom, first_edge, _edge_scales(p_max, v, phi1))
 
 
 def adjacency_moments(k_max: int, v: float, phi1: float) -> list[float]:

@@ -49,16 +49,11 @@ def _trim(p: list[int]) -> list[int]:
         p.pop()
     return p
 
-def _padd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
 def _psub(a, b):
-    return _padd(a, [-c for c in b])
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
 
 def _pmul(a, b):
     if not a or not b:
@@ -72,23 +67,24 @@ def _pmul(a, b):
     return _trim(out)
 
 def _pdiv_exact(num, den):
-    """Exact division in the integer polynomial ring; raises if inexact."""
+    """Exact division in the integer polynomial ring; raises if inexact.
+
+    Long division in place: each quotient coefficient is one divmod of the
+    working leading coefficient, and q * den is subtracted into the list."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    quot = [0] * (max(len(num) - len(den), 0) + 1)
-    while len(num) >= len(den):
-        lead, shift = num[-1], len(num) - len(den)
-        if lead % den[-1] != 0:
+    rem = list(num)
+    top, lead = len(den) - 1, den[-1]
+    quot = [0] * max(len(rem) - top, 1)
+    for shift in range(len(rem) - 1 - top, -1, -1):
+        q, r = divmod(rem[shift + top], lead)
+        if r:
             raise ValueError("determinant not divisible - graph/implementation inconsistency")
-        q = lead // den[-1]
-        quot[shift] = q
-        num = _psub(num, _pmul([0] * shift + [q], den))
-        if not num:
-            break
-        if len(num) - len(den) == shift:  # no degree drop: division cannot terminate
-            raise ValueError("determinant not divisible - graph/implementation inconsistency")
-    if num:
+        if q:
+            quot[shift] = q
+            for j, c in enumerate(den):
+                rem[shift + j] -= q * c
+    if any(rem[:top]):
         raise ValueError("determinant not divisible - graph/implementation inconsistency")
     return _trim(quot)
 

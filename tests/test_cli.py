@@ -128,6 +128,7 @@ BAD_VALUES = [
     (["zeta", "--graph", "random:3,0,1"], "no connected graph on 3 vertices"),
     (["zeta", "--graph", "random:10,0.01,1"], "no connected graph found in 1000 tries"),
     (["logdet"], "--v 1 "),
+    (["limits", "--what", "density", "--v", "nan"], "v must be finite"),
 ]
 
 
@@ -153,6 +154,38 @@ def test_readme_commands_parse():
     for argv in commands:
         cli._parse_args(argv)
     assert {argv[0] for argv in commands} == SUBCOMMANDS
+
+
+class TestParserReuse:
+    # one parser serves every main call of a process; a call must not see
+    # what an earlier one parsed or refused
+
+    def fresh_output(self, argv, capsys):
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_refused_call_leaves_no_trace(self, capsys):
+        argv = ["moments", "--theory", "--kmax", "5", "--v", "0.7"]
+        alone = self.fresh_output(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--theory", "--seed", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == alone
+
+    def test_no_value_leaks_between_calls(self, capsys):
+        alone = self.fresh_output(["moments", "--theory"], capsys)
+        assert main(["moments", "--theory", "--kmax", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+        assert main(["moments", "--theory"]) == 0
+        after = capsys.readouterr()
+        assert after == alone
+        assert len(after.out.splitlines()) == 1 + ExperimentConfig().k_max + 1
 
 
 class TestSample:

@@ -146,6 +146,36 @@ class TestStieltjesTransform:
             assert gap <= max(bound, 64.0 * np.finfo(float).eps)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteV:
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_support_refuses(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            semicircle_support(v)
+
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_quadrature_oracles_refuse(self, v):
+        # both sum the rule mapped by semicircle_support
+        with pytest.raises(ValueError, match="finite"):
+            semicircle_moment(2, v)
+        with pytest.raises(ValueError, match="finite"):
+            semicircle_log_integral(v)
+
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_log_zeta_limit_refuses(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            log_zeta_limit(v)
+
+
+@given(st.floats(-4.0, 4.0).filter(bool))
+def test_support_never_crosses_minus_one(v):
+    # (|v| - 1)^2 >= 0 survives rounding, so log(1 + lambda) stays finite on
+    # every rule node and semicircle_log_integral needs no refusal for it
+    assert semicircle_support(v)[0] >= -1.0
+
+
 class TestLogZetaLimit:
     def test_zero_at_origin(self):
         assert log_zeta_limit(0.0) == 0.0

@@ -58,6 +58,19 @@ class TestExtendedBinomial:
         tree_weight_split(7, 1.1, 2.2)
         assert moments.extended_binomial_other_hits() == 0
 
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 16])
+    def test_rows_equal_the_function_on_their_domain(self, k_max):
+        rows = moments._binomial_rows(k_max)
+        domain = {(a, b) for a in range(-1, k_max + 1) for b in range(a + 2)}
+        assert {(a, b) for a in rows for b in rows[a]} == domain
+        assert all(rows[a][b] == extended_binomial(a, b) for a, b in domain)
+
+    @pytest.mark.parametrize("a,b", [(-2, 0), (6, 0), (3, 5), (0, 2), (2, -1), (-1, -1), (-1, 1)])
+    def test_rows_refuse_lookups_outside_their_domain(self, a, b):
+        rows = moments._binomial_rows(5)
+        with pytest.raises(KeyError):
+            rows[a][b]
+
 
 class TestTreeWeights:
     def test_initial_conditions(self):
@@ -136,6 +149,33 @@ class TestLimitMoments:
             gaps.append(max(abs(ms[k] - mu[k]) for k in range(1, 9)))
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < gaps[0] * 1e-4
+
+
+class TestLimitMomentBits:
+    # float.hex of limit_moments(16, v, phi1) as the recurrences gave them
+    # when they still called extended_binomial per term: any reordering of
+    # their float operations shows here first (criterion 08's tightest ratio
+    # sits at its bound, so last-bit changes matter)
+    PINNED = {
+        (0.5, 1.8): (
+            "0x1.0000000000000p+0 0x1.0000000000000p-2 0x1.638e38e38e38ep-2 0x1.5a4587e6b74f1p-2 "
+            "0x1.ca118eecaf954p-2 0x1.2ea3b8ac9e1a5p-1 0x1.b375828f5f007p-1 0x1.43fce494a4578p+0 "
+            "0x1.f5b56e988b3ddp+0 0x1.8fd54ea8b1d83p+1 0x1.473efa045ccbfp+2 0x1.120c0470af14cp+3 "
+            "0x1.d4ad71bfbabbap+3 0x1.987c21cb60baep+4 0x1.6a69d19f53684p+5 0x1.46fbbdf3a4c55p+6 "
+            "0x1.2bcb8c6edd6e3p+7"
+        ),
+        (1.0, Profile.from_name("gauss", 0.5).phi1): (
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.906eba8214db6p+1 0x1.8164789eb2da2p+3 "
+            "0x1.a78841e0b16f7p+5 0x1.0108c5226d40ap+8 0x1.51afb9fa1c224p+10 0x1.d9eb3533ce258p+12 "
+            "0x1.602403861c657p+15 0x1.136d1f026aa71p+18 0x1.c3b259384742bp+20 0x1.833cd34c3ed2cp+23 "
+            "0x1.5a6a4d5cce1f0p+26 0x1.42f1304bfd2dcp+29 0x1.396dd7769c591p+32 0x1.3c740fd314f9ep+35 "
+            "0x1.4c2830a380366p+38"
+        ),
+    }
+
+    @pytest.mark.parametrize("v,phi1", list(PINNED))
+    def test_bits_are_pinned(self, v, phi1):
+        assert " ".join(x.hex() for x in limit_moments(16, v, phi1)) == self.PINNED[v, phi1]
 
 
 class TestFiniteMoments:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zetaspectra import cli
 from zetaspectra.graphs import (
@@ -17,6 +19,9 @@ from zetaspectra.graphs import (
 )
 from zetaspectra.percolation import sample_adjacency
 from zetaspectra.zeta import (
+    _pdiv_exact,
+    _pmul,
+    _trim,
     count_closed_paths,
     ihara_det_reciprocal,
     series_consistency,
@@ -84,6 +89,46 @@ class TestDeterminantFormula:
             ihara_det_reciprocal(np.array([[0, 1], [0, 0]]), 0.1)  # asymmetric
         with pytest.raises(ValueError):
             ihara_det_reciprocal(np.array([[1]]), 0.1)  # loop
+
+
+POLY = st.lists(st.integers(-50, 50), max_size=8).map(_trim)
+NONZERO_POLY = st.lists(st.integers(-50, 50), max_size=6).flatmap(
+    lambda low: st.integers(-9, 9).filter(bool).map(lambda lead: low + [lead])
+)
+
+
+class TestExactDivision:
+    @given(POLY, NONZERO_POLY)
+    def test_undoes_multiplication(self, a, b):
+        assert _pdiv_exact(_pmul(a, b), b) == a
+
+    @given(POLY, NONZERO_POLY.filter(lambda b: len(b) > 1), st.data())
+    def test_nonzero_remainder_raises(self, a, b, data):
+        # a * b plus a nonzero remainder of lower degree than b
+        rest = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=len(b) - 1).filter(any))
+        num = _pmul(a, b) + [0] * len(b)
+        for i, c in enumerate(rest):
+            num[i] += c
+        with pytest.raises(ValueError, match="not divisible"):
+            _pdiv_exact(_trim(num), b)
+
+    def test_indivisible_leading_coefficient_raises(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            _pdiv_exact([0, 1], [0, 2])  # u / 2u has no integer quotient
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            _pdiv_exact([1, 2], [])
+
+    def test_forest_with_a_cycle_divides_exactly(self):
+        # a triangle beside a separate edge: r - 1 = -1, so the determinant
+        # is divided once by 1 - u^2, and the tree part contributes 1
+        adj = np.zeros((5, 5), dtype=int)
+        adj[:3, :3] = cycle_graph(3)
+        adj[3, 4] = adj[4, 3] = 1
+        poly = zeta_reciprocal_polynomial(adj)
+        assert poly.rank_term == -1.0
+        assert poly.as_list() == zeta_reciprocal_polynomial(cycle_graph(3)).as_list()
 
 
 class TestExactPolynomial:
