@@ -7,7 +7,7 @@ from .percolation import (
     ProfileFamily,
     build_h,
     circuit_rank_term,
-    edge_probability,
+    offset_probabilities,
     sample_adjacency,
 )
 from .spectra import (
@@ -23,7 +23,6 @@ from .moments import (
     adjacency_moments,
     catalan_moment,
     extended_binomial,
-    first_edge_weight,
     limit_moments,
     tree_weight_split,
     weighted_adjacency_sum,

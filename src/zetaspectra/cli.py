@@ -159,11 +159,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_sample(args) -> int:
     cfg = _resolve_config(args)
     sample = percolation.sample_adjacency(cfg.n, cfg.radius, cfg.make_profile(), cfg.seed)
-    if args.dense:
-        text = "\n".join(",".join(str(int(x)) for x in row) for row in sample.entries) + "\n"
-    else:
-        text = percolation.format_edge_list(sample)
-    _emit(text, cfg.out, args)
+    _emit(percolation.format_edge_list(sample), cfg.out, args)
     print(f"edges={sample.edge_count()} mean_degree={_fmt(sample.mean_degree())}", file=sys.stderr)
     return 0
 
@@ -300,7 +296,7 @@ def _parse_graph(spec: str) -> np.ndarray:
     if spec.startswith("random:"):
         n, p, seed = spec[7:].split(",")
         return graphs.random_connected_graph(int(n), float(p), int(seed))
-    kind, num = spec[0].upper(), spec[1:]
+    kind, num = spec[:1].upper(), spec[1:]
     if kind == "P":
         return graphs.path_graph(int(num))
     if kind == "C":
@@ -383,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("sample", _cmd_sample, "draw an adjacency matrix and write its edge list",
-                "--config --n --R --profile --a --seed --out")
-    p.add_argument("--dense", action="store_true", help="write the dense 0/1 CSV instead")
+    command("sample", _cmd_sample, "draw an adjacency matrix and write its edge list",
+            "--config --n --R --profile --a --seed --out")
 
     p = command("spectrum", _cmd_spectrum, "eigenvalues of one sampled matrix",
                 "--config --n --R --profile --a --v --seed --out --format")

@@ -13,11 +13,15 @@ table up to a maximal order; lower orders are prefixes of it.
 * dense limits: as phi1 -> infinity the arrays collapse to the moments of a
   semicircle distribution shifted by v^2 (dense_moments, catalan_moment).
 * finite_moments: the exact expectations of the first two sampled moments
-  at finite (N, R), from the per-offset edge probabilities.
+  at finite (N, R), from the sampler's own per-offset edge probabilities
+  (percolation.offset_probabilities).
 
 Both tables are one root-exit composition (_compose).  Criterion 02 checks
 it and its first-edge cache against the plain loop tree_weight_split; the
 independent route is the brute-force enumeration oracle in the walks module.
+The recurrences read binomials only from _binomial_rows, whose domain is
+exactly that of extended_binomial up to a row: a lookup outside it raises
+KeyError, and extended_binomial refuses an out-of-pattern call outright.
 """
 
 from __future__ import annotations
@@ -27,12 +31,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .percolation import offset_probabilities
+
 __all__ = [
     "extended_binomial",
-    "extended_binomial_other_hits",
-    "reset_extended_binomial_counter",
     "tree_weight_table",
-    "first_edge_weight",
     "tree_weight_split",
     "limit_moments",
     "finite_moments",
@@ -48,42 +51,20 @@ __all__ = [
     "admissible_constant",
 ]
 
-# Count of extended_binomial calls falling outside the two sanctioned
-# degenerate patterns.  The recurrence index ranges never produce such a
-# call, so validation asserts this stays zero.
-_OTHER_HITS = 0
-
-
 def extended_binomial(a: int, b: int) -> int:
     """Binomial coefficient extended to the degenerate rows the weight
     recurrences touch.
 
     Rules: C(a, b) for a >= b >= 0; 1 for b == 0 (including a == -1);
-    0 for a == b - 1 with b > 0; 0 for anything else (counted as a misuse,
-    see extended_binomial_other_hits).
+    0 for a == b - 1 with b > 0.  Every other (a, b) is refused.
     """
-    global _OTHER_HITS
     if a < -1:
         raise ValueError(f"extended binomial undefined for a={a} < -1")
     if b < 0:
         raise ValueError(f"extended binomial needs b >= 0, got {b}")
-    if b == 0:
-        return 1
-    if a >= b:
-        return math.comb(a, b)
-    if a == b - 1:
-        return 0
-    _OTHER_HITS += 1
-    return 0
-
-
-def extended_binomial_other_hits() -> int:
-    return _OTHER_HITS
-
-
-def reset_extended_binomial_counter() -> None:
-    global _OTHER_HITS
-    _OTHER_HITS = 0
+    if a < b - 1:
+        raise ValueError(f"extended binomial undefined for a={a} < b - 1 = {b - 1}")
+    return 1 if b == 0 else math.comb(a, b)
 
 
 def _check_params(phi1: float) -> None:
@@ -148,19 +129,6 @@ def tree_weight_table(k_max: int, v: float, phi1: float) -> list[list[float]]:
     )
 
 
-def first_edge_weight(ks: int, g: int, v: float, phi1: float) -> float:
-    """Weight of walks confined to a single root edge with g root exits.
-
-    Defined for 1 <= g <= ks; satisfies the closed form
-    first_edge_weight(g, g) = v^(2g)/phi1^(g-1).
-    """
-    _check_params(phi1)
-    if g < 1 or g > ks:
-        raise ValueError(f"need 1 <= g <= ks, got g={g}, ks={ks}")
-    table = tree_weight_table(max(ks - g, 0), v, phi1)
-    return _first_edge_weight_from(table, _binomial_rows(ks), _edge_scales(ks, v, phi1), ks, g)
-
-
 def _first_edge_weight_from(table, binom, scales, ks: int, g: int) -> float:
     """ks-step walks with g root steps along the first root edge, w doubled
     (paired) traversals, h out-and-back excursions from the far endpoint
@@ -221,7 +189,8 @@ def finite_moments(k_max: int, n: int, radius: float, profile, v: float) -> list
     """Exact expectations E M_0..E M_k_max of one sample's spectral moments
     at finite (N, R), N = 2n + 1, for k_max <= 2, in O(N).
 
-    With p_d = phi(d/R)/R and c = v^2/phi1, vertex x has E d_x = C(x) +
+    With p_d = phi(d/R)/R from offset_probabilities, which refuses the
+    (n, R) the sampler refuses, and c = v^2/phi1, vertex x has E d_x = C(x) +
     C(N-1-x) and Var d_x = V(x) + V(N-1-x), where C(m) and V(m) sum p_d and
     p_d(1 - p_d) over d <= m; then E M_1 = c mean E d_x and
     E M_2 = mean[c^2 (Var d_x + (E d_x)^2) + c E d_x].
@@ -232,7 +201,7 @@ def finite_moments(k_max: int, n: int, radius: float, profile, v: float) -> list
             "the path and triangle sums of ROADMAP item 1"
         )
     n_vertices = 2 * n + 1
-    p = profile.phi(np.arange(1, n_vertices) / radius) / radius
+    p = offset_probabilities(n, radius, profile)
     prefix = np.concatenate(([0.0], np.cumsum(p)))
     prefix_var = np.concatenate(([0.0], np.cumsum(p * (1.0 - p))))
     x = np.arange(n_vertices)
@@ -313,24 +282,21 @@ def catalan_moment(p: int, v: float) -> float:
     return v ** (2 * p) * math.comb(2 * p, p) / (p + 1)
 
 
-def weighted_adjacency_sum(i: int, p: int, v: float, phi1: float) -> float:
-    """Adjacency weights summed with rising-factorial coefficients:
-    sum_r [(r+1)(r+2)...(r+i-1)/(i-1)!] * A[p][r] over adjacency_weight_table.
+def weighted_adjacency_sum(i: int, row) -> float:
+    """Row A[p] of adjacency_weight_table summed with rising-factorial
+    coefficients: sum_r [(r+1)(r+2)...(r+i-1)/(i-1)!] * A[p][r].
 
     Order i = 1 has unit weight and reproduces the adjacency moment L_p.
     """
     if i < 1:
         raise ValueError("order i must be >= 1")
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    table = adjacency_weight_table(p, v, phi1)
     total = 0.0
-    for r in range(0, p + 1):
+    for r, weight in enumerate(row):
         coeff = 1.0
         for j in range(1, i):
             coeff *= r + j
         coeff /= math.factorial(i - 1)
-        total += coeff * table[p][r]
+        total += coeff * weight
     return total
 
 

@@ -1,12 +1,14 @@
 """Long-range percolation graph sampler on the integer segment {-n, ..., n}.
 
 A profile function phi with 0 < phi(t) < 1 sets the edge probability
-phi((x - y)/R)/R for each pair of distinct sites, and phi1 = integral of phi
-is the limiting mean vertex degree.  A sample is its edge array, drawn in
+p_d = phi(d/R)/R for each pair of distinct sites at distance d, and phi1 =
+integral of phi is the limiting mean vertex degree.  offset_probabilities is
+the one home of that law and of its refusals; the sampler and the exact
+finite-size moments both read it.  A sample is its edge array, drawn in
 O(N + edges) diagonal by diagonal (a binomial edge count per offset, then
 that many distinct positions); the dense 0/1 matrix is built only on
-request (`entries`).  From the edges we build the degree vector and, in
-O(N + edges), the sparse symmetric matrix
+request (`entries`, for tests and the benchmark).  From the edges we build
+the degree vector and, in O(N + edges), the sparse symmetric matrix
 
     H = (v^2/phi1) * diag(degrees) - (v/sqrt(phi1)) * A,
 
@@ -26,7 +28,7 @@ __all__ = [
     "ProfileFamily",
     "Profile",
     "AdjacencySample",
-    "edge_probability",
+    "offset_probabilities",
     "sample_adjacency",
     "build_h",
     "circuit_rank_term",
@@ -92,19 +94,15 @@ class Profile:
         return out if out.ndim else float(out)
 
 
-def edge_probability(x: int, y: int, radius: float, profile: Profile) -> float:
-    """Probability of the edge {x, y} at interaction radius R >= 1.
-
-    The diagonal carries no Bernoulli variable; asking for it is an error.
-    """
-    if x == y:
-        raise ValueError("diagonal entry has no Bernoulli law")
-    if radius < 1.0:
+def offset_probabilities(n: int, radius: float, profile: Profile) -> np.ndarray:
+    """p_d = phi(d/R)/R, the edge probability of two sites at distance d, for
+    d = 1..2n on {-n, ..., n}.  Refuses n < 1 and R < 1 (or NaN); then
+    p_d <= a/R < 1 follows from the profile's amplitude check."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not radius >= 1.0:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    p = profile.phi((x - y) / radius) / radius
-    if p >= 1.0:
-        raise ValueError("profile violates 0<phi<1")
-    return float(p)
+    return profile.phi(np.arange(1, 2 * n + 1) / radius) / radius
 
 
 @dataclass(frozen=True)
@@ -162,15 +160,9 @@ def sample_adjacency(
     order fixes the stream: identical (n, radius, profile, seed) reproduce
     bit-identical edge lists.  `seed` is an int or a SeedSequence.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if radius < 1.0:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    p_by_offset = offset_probabilities(n, radius, profile)
     N = 2 * n + 1
     offsets = np.arange(1, N)
-    p_by_offset = profile.phi(offsets / radius) / radius
-    if p_by_offset.max() >= 1.0:
-        raise ValueError("profile violates 0<phi<1")
     rng = np.random.default_rng(seed)
     d = np.repeat(offsets, rng.binomial(N - offsets, p_by_offset))
     i = rng.integers(0, N - d)

@@ -35,6 +35,8 @@ from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
+from .percolation import circuit_rank_term
+
 __all__ = [
     "SpectralSummary",
     "eigenvalue_summary",
@@ -171,12 +173,10 @@ def log_det_density(summary: SpectralSummary) -> float:
 
 
 def log_prefactor_density(degrees: np.ndarray, u: float) -> float:
-    """(1/2N) Tr(B - 2I) log(1 - u^2), the prefactor term of -(1/N) log Z."""
+    """((r - 1)/N) log(1 - u^2), the prefactor term of -(1/N) log Z."""
     if abs(u) >= 1.0:
         raise ValueError(f"need |u| < 1, got u={u}")
-    degrees = np.asarray(degrees)
-    n_vertices = degrees.shape[0]
-    return (float(degrees.sum()) - 2.0 * n_vertices) / (2.0 * n_vertices) * math.log1p(-u * u)
+    return circuit_rank_term(degrees) / len(degrees) * math.log1p(-u * u)
 
 
 def neg_log_zeta_density(degrees: np.ndarray, summary: SpectralSummary) -> float:

@@ -108,7 +108,7 @@ def _poly_det_bareiss(mat: list[list[list[int]]]) -> list[int]:
                 num = _psub(_pmul(m[i][j], m[k][k]), _pmul(m[i][k], m[k][j]))
                 m[i][j] = _pdiv_exact(num, prev) if num else []
         prev = m[k][k]
-    det = m[n - 1][n - 1]
+    det = m[n - 1][n - 1] if n else [1]  # the empty determinant is 1
     return [-c for c in det] if sign < 0 else det
 
 

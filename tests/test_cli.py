@@ -125,6 +125,7 @@ BAD_VALUES = [
     (["sample", "--n", "0"], "n must be"),
     (["limits", "--what", "density", "--v", "0"], "v = 0"),
     (["zeta", "--graph", "C2"], "at least 3"),
+    (["zeta", "--graph", ""], "cannot parse graph spec"),
     (["zeta", "--graph", "random:3,0,1"], "no connected graph on 3 vertices"),
     (["zeta", "--graph", "random:10,0.01,1"], "no connected graph found in 1000 tries"),
     (["logdet"], "--v 1 "),
@@ -212,12 +213,6 @@ class TestSample:
         mean_degree = float(err.split("mean_degree=")[1].split()[0])
         phi1 = 0.5 * math.sqrt(math.pi)
         assert abs(mean_degree - phi1) <= 0.1
-
-    def test_dense_output(self, tmp_path):
-        out = tmp_path / "dense.csv"
-        assert main(["sample", "--n", "3", "--seed", "1", "--dense", "--out", str(out)]) == 0
-        rows = [line.split(",") for line in out.read_text().strip().splitlines()]
-        assert len(rows) == 7 and all(len(r) == 7 for r in rows)
 
 
 class TestSpectrum:
@@ -388,6 +383,13 @@ class TestZeta:
 
     def test_series_check_exit_code(self):
         assert main(["zeta", "--graph", "K4", "--check-order", "8", "--out", ""]) == 0
+
+    @pytest.mark.parametrize("spec", ["P0", "K0", "random:0,0.5,1"])
+    def test_empty_graph(self, spec, capsys):
+        # a 0 x 0 determinant is 1 and r - 1 = 0: the reciprocal polynomial is 1
+        assert main(["zeta", "--graph", spec, "--check-order", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["coefficients"] == [1] and payload["series_gap"] == "0"
 
     def test_graph_specs(self, tmp_path):
         for spec in ("P4", "K4", "random:6,0.5,3"):

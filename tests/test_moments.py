@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaspectra import moments
+from zetaspectra import moments, validate
 from zetaspectra.percolation import Profile
 from zetaspectra.moments import (
     adjacency_bound_report,
@@ -18,7 +18,6 @@ from zetaspectra.moments import (
     dense_tree_weight_table,
     extended_binomial,
     finite_moments,
-    first_edge_weight,
     limit_moments,
     tree_bound_report,
     tree_weight_split,
@@ -42,6 +41,8 @@ class TestExtendedBinomial:
             extended_binomial(-2, 0)
         with pytest.raises(ValueError):
             extended_binomial(3, -1)
+        with pytest.raises(ValueError):
+            extended_binomial(0, 2)  # a < b - 1: outside every recurrence's pattern
 
     def test_hockey_stick_identity(self):
         # sum_{l<=j} C*(l+i-1, l) telescopes to C(i+j, i), the workhorse
@@ -52,11 +53,10 @@ class TestExtendedBinomial:
                 assert total == math.comb(i + j, i)
 
     def test_recurrences_stay_in_domain(self):
-        moments.reset_extended_binomial_counter()
+        # a lookup outside the row tables' pattern would raise KeyError
         limit_moments(9, 1.3, 0.7)
         adjacency_moments(12, 0.8, 3.0)
         tree_weight_split(7, 1.1, 2.2)
-        assert moments.extended_binomial_other_hits() == 0
 
     @pytest.mark.parametrize("k_max", [0, 1, 5, 16])
     def test_rows_equal_the_function_on_their_domain(self, k_max):
@@ -106,16 +106,13 @@ class TestTreeWeights:
 class TestFirstEdgeWeight:
     @pytest.mark.parametrize("v,phi1", [(1.0, 1.0), (0.7, 3.0), (2.0, 0.5)])
     def test_single_edge_closed_form(self, v, phi1):
+        # g root steps and nothing else: F(g, g) = v^(2g)/phi1^(g-1)
+        table = tree_weight_table(0, v, phi1)
+        rows, scales = moments._binomial_rows(5), moments._edge_scales(5, v, phi1)
         for g in range(1, 6):
             expected = v ** (2 * g) / phi1 ** (g - 1)
-            assert first_edge_weight(g, g, v, phi1) == pytest.approx(expected, rel=1e-13)
-        assert first_edge_weight(1, 1, v, phi1) == pytest.approx(v * v, rel=1e-14)
-
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            first_edge_weight(2, 3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            first_edge_weight(2, 0, 1.0, 1.0)
+            weight = moments._first_edge_weight_from(table, rows, scales, g, g)
+            assert weight == pytest.approx(expected, rel=1e-13)
 
 
 # At v = phi1 = 1 every weight is an integer count; frozen from the tables
@@ -213,6 +210,15 @@ class TestFiniteMoments:
         with pytest.raises(ValueError, match="item 1"):
             finite_moments(3, 10, 2.0, profile, 1.0)
 
+    @pytest.mark.parametrize("n,radius,reason", [
+        (-1, 2.0, "n must be"), (0, 2.0, "n must be"),
+        (5, 0.5, "radius must be"), (5, float("nan"), "radius must be"),
+    ])
+    def test_refuses_what_the_sampler_refuses(self, n, radius, reason):
+        profile = Profile.from_name("gauss", 0.9)
+        with pytest.raises(ValueError, match=reason):
+            finite_moments(2, n, radius, profile, 1.0)
+
 
 class TestAdjacencyWeights:
     def test_exact_counts_at_unit_parameters(self):
@@ -300,6 +306,13 @@ class TestTablePrefixStability:
             for k in range(self.K + 1):
                 assert full[: k + 1] == tree_weight_split(k, v, phi1)
 
+    def test_adjacency_table_rows(self, param_grid):
+        # the weighted-sum identity check reads every row from one table
+        for v, phi1 in param_grid:
+            full = adjacency_weight_table(self.K, v, phi1)
+            for p in range(self.K + 1):
+                assert full[: p + 1] == adjacency_weight_table(p, v, phi1)
+
 
 class TestCatalan:
     def test_closed_form(self):
@@ -321,12 +334,23 @@ class TestWeightedAdjacencySums:
     def test_order_one_is_moment(self):
         v, phi1 = 1.1, 0.9
         ell = adjacency_moments(12, v, phi1)
+        table = adjacency_weight_table(6, v, phi1)
         for p in range(1, 7):
-            assert weighted_adjacency_sum(1, p, v, phi1) == pytest.approx(ell[2 * p], rel=1e-13)
+            assert weighted_adjacency_sum(1, table[p]) == pytest.approx(ell[2 * p], rel=1e-13)
 
     def test_order_zero_row(self):
+        row = adjacency_weight_table(3, 1.5, 2.5)[0]
         for i in range(1, 6):
-            assert weighted_adjacency_sum(i, 0, 1.5, 2.5) == 1.0
+            assert weighted_adjacency_sum(i, row) == 1.0
+
+    def test_identity_check_builds_one_table_per_grid_point(self, monkeypatch):
+        calls = []
+        real = moments.adjacency_weight_table
+        monkeypatch.setattr(
+            moments, "adjacency_weight_table", lambda *a: calls.append(a) or real(*a)
+        )
+        assert validate.check_weighted_sum_identity().passed
+        assert len(calls) <= len(validate.VALIDATION_GRID) == 12
 
 
 class TestBounds:

@@ -13,8 +13,8 @@ from zetaspectra.percolation import (
     ProfileFamily,
     build_h,
     circuit_rank_term,
-    edge_probability,
     format_edge_list,
+    offset_probabilities,
     sample_adjacency,
 )
 
@@ -44,32 +44,40 @@ def test_bad_amplitude_rejected(amplitude):
         Profile(ProfileFamily.GAUSSIAN, amplitude)
 
 
-def test_edge_probability_value():
+def test_offset_probabilities_value():
     # direct evaluation: phi(2/4)/4 with the exponential profile, a = 0.5
     profile = Profile.from_name("exp", 0.5)
     expected = 0.5 * math.exp(-0.5) / 4.0
-    assert edge_probability(0, 2, 4.0, profile) == pytest.approx(expected, rel=1e-12)
+    p = offset_probabilities(3, 4.0, profile)
+    assert p.shape == (6,)
+    assert p[1] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.0758163, abs=5e-8)
 
 
-def test_edge_probability_diagonal_error():
-    profile = Profile.from_name("exp", 0.5)
-    with pytest.raises(ValueError, match="no Bernoulli law"):
-        edge_probability(3, 3, 2.0, profile)
+@pytest.mark.parametrize("n,radius,reason", [
+    (0, 2.0, "n must be"), (-1, 2.0, "n must be"),
+    (3, 0.99, "radius must be"), (3, float("nan"), "radius must be"),
+])
+def test_offset_probabilities_refusals(n, radius, reason, gauss_profile):
+    with pytest.raises(ValueError, match=reason):
+        offset_probabilities(n, radius, gauss_profile)
+    with pytest.raises(ValueError, match=reason):
+        sample_adjacency(n, radius, gauss_profile, seed=0)
 
 
 @given(
-    x=st.integers(-50, 50),
-    y=st.integers(-50, 50),
+    n=st.integers(1, 60),
     radius=st.floats(1.0, 100.0),
     amplitude=st.floats(0.01, 0.99),
     family=st.sampled_from(FAMILIES),
 )
-def test_edge_probability_symmetry(x, y, radius, amplitude, family):
-    if x == y:
-        return
+def test_offset_probabilities_match_the_profile(n, radius, amplitude, family):
+    # each entry is the scalar law at its offset, inside (0, 1)
     profile = Profile.from_name(family, amplitude)
-    assert edge_probability(x, y, radius, profile) == edge_probability(y, x, radius, profile)
+    p = offset_probabilities(n, radius, profile)
+    scalar = [profile.phi(d / radius) / radius for d in range(1, 2 * n + 1)]
+    assert p.tolist() == pytest.approx(scalar, rel=1e-14, abs=0.0)
+    assert np.all((p >= 0.0) & (p < 1.0))
 
 
 def test_sample_is_symmetric_zero_diagonal(gauss_profile):
@@ -191,16 +199,11 @@ def test_edge_list_format(gauss_profile):
 
 
 def test_file_exports(tmp_path, gauss_profile):
-    # `sample` is the one writer: edge list by default, dense 0/1 CSV on --dense
+    # `sample` is the one writer, of the edge list
     sample = sample_adjacency(3, 1.5, gauss_profile, seed=11)
     edge_path = tmp_path / "edges.txt"
-    dense_path = tmp_path / "dense.csv"
-    args = ["sample", "--n", "3", "--R", "1.5", "--seed", "11", "--out"]
-    assert cli.main(args + [str(edge_path)]) == 0
-    assert cli.main(args + [str(dense_path), "--dense"]) == 0
+    assert cli.main(["sample", "--n", "3", "--R", "1.5", "--seed", "11", "--out", str(edge_path)]) == 0
     assert edge_path.read_text() == format_edge_list(sample)
-    dense = np.loadtxt(dense_path, delimiter=",", dtype=np.int8)
-    assert np.array_equal(dense, sample.entries)
 
 
 def dense_draw(n, radius, profile, seed):
