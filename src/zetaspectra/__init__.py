@@ -28,19 +28,14 @@ from .moments import (
     weighted_adjacency_sum,
 )
 from .walks import (
-    Diagram,
     Walk,
-    diagram_of_walk,
-    diagram_weight,
     enumerate_tree_walks,
-    is_tree_type,
     oracle_moment,
     oracle_tree_weight,
 )
 from .zeta import (
     ReciprocalZeta,
     count_closed_paths,
-    ihara_det_reciprocal,
     series_consistency,
     zeta_reciprocal_polynomial,
 )

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -52,6 +53,8 @@ class ExperimentConfig:
             raise ValueError("R must be >= 1")
         if not 0.0 < self.amplitude < 1.0:
             raise ValueError("amplitude must lie in (0, 1)")
+        if not math.isfinite(self.v):
+            raise ValueError(f"v must be finite, got {self.v}")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if self.fmt not in ("csv", "json"):
@@ -176,22 +179,7 @@ def _cmd_spectrum(args) -> int:
         left, right, dens = spectra.histogram_density(summary, bins=args.hist_bins)
         hist_text = _csv(zip(left, right, dens), ["bin_left", "bin_right", "density"])
         _emit(hist_text, (cfg.out or "spectrum") + ".hist.csv", args)
-    if args.plot_script:
-        with open(args.plot_script, "w", encoding="ascii") as fh:
-            fh.write(_PLOT_STUB.format(data=cfg.out or "spectrum.csv"))
     return 0
-
-
-_PLOT_STUB = """\
-import matplotlib.pyplot as plt
-import numpy as np
-
-data = np.loadtxt({data!r}, delimiter=",", skiprows=1)
-plt.hist(data[:, 1], bins=60, density=True)
-plt.xlabel("eigenvalue")
-plt.ylabel("density")
-plt.show()
-"""
 
 
 def _cmd_moments(args) -> int:
@@ -307,6 +295,8 @@ def _parse_graph(spec: str) -> np.ndarray:
 
 
 def _cmd_zeta(args) -> int:
+    if args.u is not None and not math.isfinite(args.u):
+        raise ValueError(f"--u must be finite, got {args.u}")
     adj = _parse_graph(args.graph)
     poly = zeta.zeta_reciprocal_polynomial(adj)
     payload = {
@@ -317,7 +307,7 @@ def _cmd_zeta(args) -> int:
     }
     if args.u is not None:
         payload["u"] = args.u
-        payload["reciprocal_at_u"] = zeta.ihara_det_reciprocal(adj, args.u)
+        payload["reciprocal_at_u"] = poly(args.u)
     gap = 0
     if args.check_order:
         gap = zeta.series_consistency(adj, poly, args.check_order)
@@ -385,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("spectrum", _cmd_spectrum, "eigenvalues of one sampled matrix",
                 "--config --n --R --profile --a --v --seed --out --format")
     p.add_argument("--hist-bins", type=int, default=0)
-    p.add_argument("--plot-script", default="", help="also write a plotting stub here")
 
     p = command("moments", _cmd_moments, "empirical vs limiting moments",
                 "--config --n --R --profile --a --v --seed --trials --kmax --out --format")

@@ -1,23 +1,28 @@
-"""Brute-force enumeration of tree-type closed walks and their diagrams.
+"""Depth-first search over tree-type closed walks, the independent
+combinatorial oracle for the weight recurrences in the moments module.
 
-This is the independent combinatorial oracle for the weight recurrences in
-the moments module.  A walk is a sequence of k+1 letters over the ordered
-alphabet 1, 2, 3, ... starting at the root letter 1.  Each letter after the
-first is one step; a letter may be marked "generalized", in which case the
-step runs out to that letter and silently returns (a red step), otherwise
-the walk moves there (a blue step).  The walker's position is therefore the
-most recent ordinary letter, called the anchor here.  Steps never target
-the current anchor (no self-loops), new letters must appear in first-use
-order, and the walk must end with its anchor back at the root.
+A walk is a sequence of k+1 letters over the ordered alphabet 1, 2, 3, ...
+starting at the root letter 1.  Each letter after the first is one step; a
+letter may be marked "generalized", in which case the step runs out to that
+letter and silently returns (a red step), otherwise the walk moves there (a
+blue step).  The walker's position is therefore the most recent ordinary
+letter, called the anchor here.  Steps never target the current anchor (no
+self-loops), new letters must appear in first-use order, and the walk must
+end with its anchor back at the root.
 
-Every walk maps to a diagram: a multigraph on the letters whose skeleton
-collects blue and red multiplicities per edge.  Tree-type means the
-skeleton is acyclic and every blue multiplicity is even; only such walks
-carry weight in the large-graph limit, and their weight is
+Each step draws one edge between its anchor and its target; the edges form
+the walk's skeleton, with a blue and a red multiplicity per edge.
+Tree-type means the skeleton is acyclic and every blue multiplicity is
+even; only such walks carry weight in the large-graph limit.  An edge with
+l = blue multiplicity / 2 and r = red multiplicity weighs
+v^(2(l+r)) / phi1^(l+r-1), so a walk of total edge order q = sum of l + r
+over its E edges weighs v^(2q) * phi1^(E - q).
 
-    product over skeleton edges of v^(2(l+r)) / phi1^(l+r-1)
-
-with l = blue multiplicity / 2 and r = red multiplicity on the edge.
+walk_profile counts the k-step walks by (root exits, q, E) during the
+search, without building them, and oracle_tree_weight and oracle_moment sum
+the weighted classes.  The per-walk derivation (each listed walk's diagram,
+its tree-type test and its weight) is the reference these counts are
+checked against; it lives in tests/test_walks.py.
 """
 
 from __future__ import annotations
@@ -28,13 +33,8 @@ from functools import lru_cache
 
 __all__ = [
     "Walk",
-    "Diagram",
     "WalkBudgetError",
-    "diagram_of_walk",
-    "is_tree_type",
-    "diagram_weight",
     "enumerate_tree_walks",
-    "is_valid_tree_walk",
     "walk_profile",
     "oracle_tree_weight",
     "oracle_moment",
@@ -63,100 +63,6 @@ class Walk:
     @property
     def steps(self) -> int:
         return len(self.letters) - 1
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Colored multigraph of a walk: per-edge blue and red step counts."""
-
-    vertex_count: int
-    edge_counts: dict  # {(lo, hi): (blue_multiplicity, red_multiplicity)}
-
-
-def diagram_of_walk(walk: Walk) -> Diagram:
-    """Chronological run over the walk drawing one edge per step.
-
-    Raises ValueError on malformed walks (self-loop steps or letters
-    appearing out of first-use order).  Closure is not required here; the
-    tree-type test is what downstream callers filter on.
-    """
-    anchor = 1
-    seen = 1
-    counts: dict[tuple[int, int], list[int]] = {}
-    for idx in range(1, len(walk.letters)):
-        target = walk.letters[idx]
-        red = walk.generalized[idx]
-        if target == anchor:
-            raise ValueError(f"step {idx} targets its own anchor {anchor}")
-        if target > seen + 1:
-            raise ValueError(f"letter {target} used before {seen + 1} at step {idx}")
-        seen = max(seen, target)
-        key = (anchor, target) if anchor < target else (target, anchor)
-        blue_red = counts.setdefault(key, [0, 0])
-        blue_red[1 if red else 0] += 1
-        if not red:
-            anchor = target
-    return Diagram(
-        vertex_count=seen,
-        edge_counts={k: (b, r) for k, (b, r) in counts.items()},
-    )
-
-
-def _final_anchor(walk: Walk) -> int:
-    for idx in range(len(walk.letters) - 1, -1, -1):
-        if not walk.generalized[idx]:
-            return walk.letters[idx]
-    return 1
-
-
-def is_tree_type(diagram: Diagram) -> bool:
-    """Acyclic skeleton with even blue multiplicity on every edge."""
-    if any(blue % 2 for blue, _ in diagram.edge_counts.values()):
-        return False
-    # union-find cycle test over the skeleton
-    parent = list(range(diagram.vertex_count + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in diagram.edge_counts:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
-def diagram_weight(diagram: Diagram, v: float, phi1: float) -> float:
-    """Limit weight of a tree-type diagram."""
-    if phi1 <= 0.0:
-        raise ValueError(f"phi1 must be positive, got {phi1}")
-    if not is_tree_type(diagram):
-        raise ValueError("weight is defined for tree-type diagrams only")
-    out = 1.0
-    for blue, red in diagram.edge_counts.values():
-        q = blue // 2 + red
-        out *= v ** (2 * q) / phi1 ** (q - 1)
-    return out
-
-
-def is_valid_tree_walk(walk: Walk) -> bool:
-    """Membership predicate for the tree-type walk stream of k steps.
-
-    True iff the walk satisfies every construction rule (anchor rule,
-    first-use letter order), returns to the root, and its diagram is
-    tree-type.  Equals membership in enumerate_tree_walks(walk.steps).
-    """
-    try:
-        diagram = diagram_of_walk(walk)
-    except ValueError:
-        return False
-    if _final_anchor(walk) != 1:
-        return False
-    return is_tree_type(diagram)
 
 
 def _search_tree_walks(k: int, leaf) -> None:
@@ -212,7 +118,12 @@ def _search_tree_walks(k: int, leaf) -> None:
 
 
 def enumerate_tree_walks(k: int) -> list[Walk]:
-    """All tree-type closed walks of exactly k steps, lexicographic order."""
+    """All tree-type closed walks of exactly k steps, lexicographic order.
+
+    Only tests and the benchmark tracer read the listing; it stays in the
+    package because perfbench/tracing.py binds this name (ROADMAP item 7
+    frees it).
+    """
     walks: list[Walk] = []
     _search_tree_walks(k, lambda letters, marks, *_: walks.append(Walk(tuple(letters), tuple(marks))))
     return walks

@@ -7,7 +7,8 @@ The reciprocal of the zeta function is the polynomial
 with A the adjacency matrix, B the diagonal degree matrix and
 r - 1 = Tr(B - 2I)/2.  The determinant is evaluated exactly over the
 integer polynomial ring by fraction-free elimination, so the coefficients
-come out as exact integers.
+come out as exact integers.  Calling the ReciprocalZeta evaluates it at a
+float u; it is the package's one reciprocal-zeta value.
 
 Independently, the zeta function is the exponential of the generating
 series of closed backtrackless tailless path counts.  count_closed_paths
@@ -25,11 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .percolation import circuit_rank_term
-
 __all__ = [
     "ReciprocalZeta",
-    "ihara_det_reciprocal",
     "zeta_reciprocal_polynomial",
     "count_closed_paths",
     "series_consistency",
@@ -148,18 +146,6 @@ def _validate_small_graph(adj: np.ndarray, limit: int) -> np.ndarray:
     if np.any((adj != 0) & (adj != 1)):
         raise ValueError("graph must be simple (0/1 entries)")
     return adj.astype(np.int64)
-
-
-def ihara_det_reciprocal(adj: np.ndarray, u: float) -> float:
-    """Numeric reciprocal zeta value (1-u^2)^(r-1) det(I + u^2(B-I) - uA)."""
-    adj = _validate_small_graph(adj, limit=10**6)
-    rank = int(circuit_rank_term(adj.sum(axis=1)))
-    if abs(abs(u) - 1.0) < 1e-15 and rank < 0:
-        raise ValueError("u = +-1 is a pole of the prefactor for forests")
-    n = adj.shape[0]
-    degrees = adj.sum(axis=1)
-    mat = np.eye(n) + u * u * (np.diag(degrees) - np.eye(n)) - u * adj
-    return float((1.0 - u * u) ** rank * np.linalg.det(mat))
 
 
 def zeta_reciprocal_polynomial(adj: np.ndarray) -> ReciprocalZeta:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaspectra import cli, moments, zeta
+from zetaspectra import cli, moments, validate, zeta
 from zetaspectra.cli import ExperimentConfig, main
 from zetaspectra.montecarlo import STREAM, sample_spectrum, trial_seed
 from zetaspectra.percolation import Profile
@@ -74,17 +75,18 @@ class TestConfig:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-UNREAD_FLAGS = [
-    ["validate", "--n", "5"],
-    ["zeta", "--graph", "C3", "--seed", "3"],
-    ["limits", "--trials", "2"],
-    ["converge", "--n", "5"],
-    ["sample", "--v", "1"],
-    ["spectrum", "--kmax", "3"],
-]
+UNREAD_FLAGS = {
+    "validate": ["validate", "--n", "5"],
+    "zeta": ["zeta", "--graph", "C3", "--seed", "3"],
+    "limits": ["limits", "--trials", "2"],
+    "converge": ["converge", "--n", "5"],
+    "sample": ["sample", "--v", "1"],
+    "spectrum": ["spectrum", "--kmax", "3"],
+    "spectrum-plot-script": ["spectrum", "--n", "5", "--plot-script", "plot.py"],
+}
 
 
-@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[argv[0] for argv in UNREAD_FLAGS])
+@pytest.mark.parametrize("argv", list(UNREAD_FLAGS.values()), ids=list(UNREAD_FLAGS))
 def test_unread_flag_is_refused(argv, capsys):
     # each subcommand accepts only the flags its handler reads
     with pytest.raises(SystemExit) as exc:
@@ -130,6 +132,13 @@ BAD_VALUES = [
     (["zeta", "--graph", "random:10,0.01,1"], "no connected graph found in 1000 tries"),
     (["logdet"], "--v 1 "),
     (["limits", "--what", "density", "--v", "nan"], "v must be finite"),
+    (["moments", "--theory", "--v", "nan"], "v must be finite"),
+    (["moments", "--v", "inf"], "v must be finite"),
+    (["spectrum", "--v", "nan"], "v must be finite"),
+    (["converge", "--v=-inf"], "v must be finite"),
+    (["logdet", "--v", "nan"], "v must be finite"),
+    (["zeta", "--graph", "C3", "--u", "nan"], "--u must be finite"),
+    (["zeta", "--graph", "C3", "--u", "inf"], "--u must be finite"),
 ]
 
 
@@ -252,14 +261,6 @@ class TestSpectrum:
         value = out.read_text().strip().splitlines()[-1].split(",")[1]
         assert value == f"{float(value):.15g}"
 
-    def test_plot_script(self, tmp_path):
-        out = tmp_path / "s.csv"
-        script = tmp_path / "plot.py"
-        assert main([
-            "spectrum", "--n", "5", "--out", str(out), "--plot-script", str(script),
-        ]) == 0
-        assert "matplotlib" in script.read_text()
-
 
 class TestMoments:
     def test_theory_table(self, tmp_path):
@@ -381,6 +382,12 @@ class TestZeta:
         assert payload["coefficients"] == [1, 0, 0, -2, 0, 0, 1]
         assert payload["reciprocal_at_u"] == pytest.approx((1 - 0.1**3) ** 2)
 
+    def test_tree_is_one_at_u_one(self, capsys):
+        # a tree's zeta is identically 1, so u = 1 is no pole of the
+        # polynomial even though (1 - u^2)^(r-1) has one for r - 1 < 0
+        assert main(["zeta", "--graph", "P4", "--u", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["reciprocal_at_u"] == 1.0
+
     def test_series_check_exit_code(self):
         assert main(["zeta", "--graph", "K4", "--check-order", "8", "--out", ""]) == 0
 
@@ -492,3 +499,21 @@ class TestValidate:
         assert main(["validate"]) == 1
         err = capsys.readouterr().err
         assert "FAIL" in err and "zeta-series-vs-determinant" in err
+
+    def test_wrong_coefficient_fails_the_bridge(self, monkeypatch):
+        # the triangle's u^3 coefficient off by one moves its log-density
+        # by about 0.2^3 / 3 at u = 0.2; the bridge reads the polynomial, so
+        # it no longer agrees with the factorised route
+        original = zeta.zeta_reciprocal_polynomial
+
+        def faulty(adj):
+            poly = original(adj)
+            if (poly.n_vertices, poly.n_edges) != (3, 3):
+                return poly
+            coefficients = list(poly.coefficients)
+            coefficients[3] += 1
+            return dataclasses.replace(poly, coefficients=tuple(coefficients))
+
+        assert validate.check_zeta_bridge().passed
+        monkeypatch.setattr(zeta, "zeta_reciprocal_polynomial", faulty)
+        assert not validate.check_zeta_bridge().passed

@@ -17,7 +17,7 @@ from zetaspectra.spectra import (
     log_prefactor_density,
     neg_log_zeta_density,
 )
-from zetaspectra.zeta import ihara_det_reciprocal
+from zetaspectra.zeta import zeta_reciprocal_polynomial
 
 
 def summary_from_eigs(eigs, v=1.0, phi1=1.0):
@@ -264,7 +264,7 @@ class TestNegLogZetaDensity:
         s = eigenvalue_summary(h, v=u, phi1=1.0)
         expected = (2.0 / 3.0) * math.log(1.0 - u**3)
         assert neg_log_zeta_density(degrees, s) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(math.log(ihara_det_reciprocal(adj, u)) / 3.0)
+        assert expected == pytest.approx(math.log(zeta_reciprocal_polynomial(adj)(u)) / 3.0)
 
 
 def test_histogram_density_normalized(rng):

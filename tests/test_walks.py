@@ -1,22 +1,118 @@
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from zetaspectra.moments import limit_moments, tree_weight_table
 from zetaspectra.walks import (
-    Diagram,
     Walk,
     WalkBudgetError,
-    diagram_of_walk,
-    diagram_weight,
     enumerate_tree_walks,
-    is_tree_type,
-    is_valid_tree_walk,
     oracle_moment,
     oracle_tree_weight,
     walk_profile,
 )
+
+# The per-walk reference derivation: every walk maps to a diagram, a
+# multigraph on its letters whose skeleton collects blue and red
+# multiplicities per edge.  walk_profile's class counts are checked against
+# the classes read off these diagrams, one listed walk at a time.
+
+
+@dataclass(frozen=True)
+class Diagram:
+    """Colored multigraph of a walk: per-edge blue and red step counts."""
+
+    vertex_count: int
+    edge_counts: dict  # {(lo, hi): (blue_multiplicity, red_multiplicity)}
+
+
+def diagram_of_walk(walk: Walk) -> Diagram:
+    """Chronological run over the walk drawing one edge per step.
+
+    Raises ValueError on malformed walks (self-loop steps or letters
+    appearing out of first-use order).  Closure is not required here; the
+    tree-type test is what downstream callers filter on.
+    """
+    anchor = 1
+    seen = 1
+    counts: dict[tuple[int, int], list[int]] = {}
+    for idx in range(1, len(walk.letters)):
+        target = walk.letters[idx]
+        red = walk.generalized[idx]
+        if target == anchor:
+            raise ValueError(f"step {idx} targets its own anchor {anchor}")
+        if target > seen + 1:
+            raise ValueError(f"letter {target} used before {seen + 1} at step {idx}")
+        seen = max(seen, target)
+        key = (anchor, target) if anchor < target else (target, anchor)
+        blue_red = counts.setdefault(key, [0, 0])
+        blue_red[1 if red else 0] += 1
+        if not red:
+            anchor = target
+    return Diagram(
+        vertex_count=seen,
+        edge_counts={k: (b, r) for k, (b, r) in counts.items()},
+    )
+
+
+def _final_anchor(walk: Walk) -> int:
+    for idx in range(len(walk.letters) - 1, -1, -1):
+        if not walk.generalized[idx]:
+            return walk.letters[idx]
+    return 1
+
+
+def is_tree_type(diagram: Diagram) -> bool:
+    """Acyclic skeleton with even blue multiplicity on every edge."""
+    if any(blue % 2 for blue, _ in diagram.edge_counts.values()):
+        return False
+    # union-find cycle test over the skeleton
+    parent = list(range(diagram.vertex_count + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in diagram.edge_counts:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+def diagram_weight(diagram: Diagram, v: float, phi1: float) -> float:
+    """Limit weight of a tree-type diagram."""
+    if phi1 <= 0.0:
+        raise ValueError(f"phi1 must be positive, got {phi1}")
+    if not is_tree_type(diagram):
+        raise ValueError("weight is defined for tree-type diagrams only")
+    out = 1.0
+    for blue, red in diagram.edge_counts.values():
+        q = blue // 2 + red
+        out *= v ** (2 * q) / phi1 ** (q - 1)
+    return out
+
+
+def is_valid_tree_walk(walk: Walk) -> bool:
+    """Membership predicate for the tree-type walk stream of k steps.
+
+    True iff the walk satisfies every construction rule (anchor rule,
+    first-use letter order), returns to the root, and its diagram is
+    tree-type.  Equals membership in enumerate_tree_walks(walk.steps).
+    """
+    try:
+        diagram = diagram_of_walk(walk)
+    except ValueError:
+        return False
+    if _final_anchor(walk) != 1:
+        return False
+    return is_tree_type(diagram)
+
 
 # the worked 12-step example: out-and-back excursions off a doubled spine
 WALK_12 = Walk(

@@ -23,7 +23,6 @@ from zetaspectra.zeta import (
     _pmul,
     _trim,
     count_closed_paths,
-    ihara_det_reciprocal,
     series_consistency,
     zeta_reciprocal_polynomial,
 )
@@ -65,30 +64,32 @@ class TestGraphs:
 
 
 class TestDeterminantFormula:
+    # the exact polynomial evaluated at u; its coefficients are pinned in
+    # TestExactPolynomial and proved against the path-count series below
+
     def test_value_at_zero_is_one(self):
         for _, adj in zeta_corpus():
-            assert ihara_det_reciprocal(adj, 0.0) == pytest.approx(1.0, abs=1e-14)
+            assert zeta_reciprocal_polynomial(adj)(0.0) == 1.0
 
     @pytest.mark.parametrize("u", [0.1, 0.3, -0.2])
     def test_triangle_closed_form(self, u):
         # the triangle zeta is (1 - u^3)^(-2); hand check: adjacency
         # eigenvalues 2, -1, -1 give (1-u)^2 (1+u+u^2)^2
-        value = ihara_det_reciprocal(cycle_graph(3), u)
+        value = zeta_reciprocal_polynomial(cycle_graph(3))(u)
         assert value == pytest.approx((1.0 - u**3) ** 2, rel=1e-12)
 
     def test_path_graph_is_identically_one(self):
-        for u in (-0.9, -0.3, 0.0, 0.5, 0.99):
-            assert ihara_det_reciprocal(path_graph(3), u) == pytest.approx(1.0, rel=1e-12)
-
-    def test_pole_of_prefactor(self):
-        with pytest.raises(ValueError, match="pole"):
-            ihara_det_reciprocal(path_graph(4), 1.0)
+        # a tree's zeta is 1 for every u, u = +-1 included: the polynomial
+        # has no pole where the prefactor (1 - u^2)^(r-1) alone has one
+        poly = zeta_reciprocal_polynomial(path_graph(3))
+        for u in (-1.0, -0.9, -0.3, 0.0, 0.5, 0.99, 1.0):
+            assert poly(u) == 1.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            ihara_det_reciprocal(np.array([[0, 1], [0, 0]]), 0.1)  # asymmetric
+            zeta_reciprocal_polynomial(np.array([[0, 1], [0, 0]]))  # asymmetric
         with pytest.raises(ValueError):
-            ihara_det_reciprocal(np.array([[1]]), 0.1)  # loop
+            zeta_reciprocal_polynomial(np.array([[1]]))  # loop
 
 
 POLY = st.lists(st.integers(-50, 50), max_size=8).map(_trim)
@@ -145,9 +146,14 @@ class TestExactPolynomial:
             assert zeta_reciprocal_polynomial(path_graph(n)).as_list() == [1]
 
     def test_evaluation_matches_determinant(self):
+        # float reference: (1 - u^2)^(r-1) det(I + u^2 (B - I) - u A)
+        u = 0.17
         for _, adj in zeta_corpus():
             poly = zeta_reciprocal_polynomial(adj)
-            assert poly(0.17) == pytest.approx(ihara_det_reciprocal(adj, 0.17), rel=1e-12)
+            n, degrees = len(adj), adj.sum(axis=1)
+            mat = np.eye(n) + u * u * np.diag(degrees - 1) - u * adj
+            reference = (1.0 - u * u) ** (degrees.sum() // 2 - n) * np.linalg.det(mat)
+            assert poly(u) == pytest.approx(reference, rel=1e-12)
 
     def test_degree_bounds(self):
         for _, adj in zeta_corpus():
