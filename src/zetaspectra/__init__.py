@@ -14,10 +14,10 @@ from .spectra import (
     SpectralSummary,
     counting_function,
     eigenvalue_summary,
-    empirical_moment,
     log_det_density,
     log_prefactor_density,
     neg_log_zeta_density,
+    trace_moments,
 )
 from .moments import (
     adjacency_moments,

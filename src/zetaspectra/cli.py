@@ -49,8 +49,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.radius < 1.0:
-            raise ValueError("R must be >= 1")
+        if not 1.0 <= self.radius < math.inf:
+            raise ValueError(f"--R must be finite and >= 1, got {self.radius}")
         if not 0.0 < self.amplitude < 1.0:
             raise ValueError("amplitude must lie in (0, 1)")
         if not math.isfinite(self.v):
@@ -224,6 +224,8 @@ def _cmd_converge(args) -> int:
         trials = trials * len(args.n_sweep)
     if len(trials) != len(args.n_sweep):
         raise ValueError("--trials needs one count, or one per --n-sweep entry")
+    if not 0.0 < args.r_scale < math.inf:
+        raise ValueError(f"--r-scale must be finite and > 0, got {args.r_scale}")
     points = convergence_sweep(
         args.n_sweep,
         args.gamma,
@@ -306,13 +308,16 @@ def _cmd_zeta(args) -> int:
         "rank_term": poly.rank_term,
     }
     if args.u is not None:
+        value = poly(args.u)
+        if not math.isfinite(value):
+            raise ValueError(f"--u {args.u!r}: the reciprocal zeta overflows a float ({value})")
         payload["u"] = args.u
-        payload["reciprocal_at_u"] = poly(args.u)
+        payload["reciprocal_at_u"] = value
     gap = 0
     if args.check_order:
         gap = zeta.series_consistency(adj, poly, args.check_order)
         payload["series_gap"] = str(gap)
-    _emit(json.dumps(payload, indent=1) + "\n", args.out, args)
+    _emit(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out, args)
     return 1 if gap else 0
 
 

@@ -20,8 +20,8 @@ from .percolation import Profile, build_h, sample_adjacency
 from .spectra import (
     SpectralSummary,
     eigenvalue_summary,
-    empirical_moment,
     log_prefactor_density,
+    trace_moments,
 )
 
 __all__ = [
@@ -76,7 +76,7 @@ class EnsembleResult:
 def sample_spectrum(
     n: int, radius: float, profile: Profile, v: float, seed: int | np.random.SeedSequence
 ) -> tuple[np.ndarray, SpectralSummary]:
-    """One seeded draw: its degree vector and the spectrum of its H."""
+    """One seeded draw: its degree vector and the checked summary of its H."""
     sample = sample_adjacency(n, radius, profile, seed)
     degrees = sample.degrees()
     h = build_h(sample.adjacency(), degrees, v, profile.phi1)
@@ -94,11 +94,11 @@ def run_trial(
 ):
     """One seeded draw: spectral moments 0..k_max and the log-prefactor density.
 
-    One decomposition of H serves every moment order.
+    The moments (1/N) tr H^k come from sparse powers of H (`trace_moments`);
+    no trial solves its spectrum.
     """
     degrees, summary = sample_spectrum(n, radius, profile, v, seed)
-    moments = np.array([empirical_moment(summary, k) for k in range(k_max + 1)])
-    return moments, log_prefactor_density(degrees, prefactor_u)
+    return trace_moments(summary, k_max), log_prefactor_density(degrees, prefactor_u)
 
 
 def run_ensemble(
@@ -179,11 +179,15 @@ def convergence_sweep(
 ) -> list[SweepPoint]:
     """Gap-versus-size table along R = ceil(r_scale * N^gamma).
 
-    gamma must lie in (0, 1) so that R grows sublinearly in N.  trials may
-    be an int or a sequence with one count per entry of n_values.
+    gamma must lie in (0, 1) so that R grows sublinearly in N, and r_scale
+    must be finite and > 0.  trials may be an int or a sequence with one
+    count per entry of n_values.  Every argument is checked before any size
+    is sampled.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("violates sublinear radius growth R = o(N): need 0 < gamma < 1")
+    if not 0.0 < r_scale < math.inf:
+        raise ValueError(f"r_scale must be finite and > 0, got {r_scale}")
     n_values = list(n_values)
     if isinstance(trials, int):
         trials = [trials] * len(n_values)

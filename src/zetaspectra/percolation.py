@@ -96,12 +96,13 @@ class Profile:
 
 def offset_probabilities(n: int, radius: float, profile: Profile) -> np.ndarray:
     """p_d = phi(d/R)/R, the edge probability of two sites at distance d, for
-    d = 1..2n on {-n, ..., n}.  Refuses n < 1 and R < 1 (or NaN); then
-    p_d <= a/R < 1 follows from the profile's amplitude check."""
+    d = 1..2n on {-n, ..., n}.  Refuses n < 1 and an R that is not finite
+    and >= 1 (at R = inf every p_d is 0); then p_d <= a/R < 1 follows from
+    the profile's amplitude check."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not radius >= 1.0:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    if not 1.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 1, got {radius}")
     return profile.phi(np.arange(1, 2 * n + 1) / radius) / radius
 
 

@@ -1,7 +1,12 @@
-"""Spectra of sampled matrices and the log-determinant quantities.
+"""Spectra of sampled matrices, their trace moments and the log-determinant
+quantities.
 
 `eigenvalue_summary` checks a sampled H; its spectrum is solved on first
-read.  H is block-diagonal under a permutation: each connected component
+read (`eigenvalues`, `counting_function`, `histogram_density`), and nothing
+else reads it.  `trace_moments` takes (1/N) tr H^k from sparse powers of H
+by Frobenius identities, with no eigensolve.
+
+H is block-diagonal under a permutation: each connected component
 of its nonzero pattern is one block.  The solve scatters the nonzeros straight
 into one stack of dense blocks per block size, solved by one batched
 symmetric eigensolve; no N x N array is formed.  A forest of small pieces
@@ -41,7 +46,7 @@ __all__ = [
     "SpectralSummary",
     "eigenvalue_summary",
     "counting_function",
-    "empirical_moment",
+    "trace_moments",
     "log_det_density",
     "log_prefactor_density",
     "neg_log_zeta_density",
@@ -136,13 +141,33 @@ def counting_function(summary: SpectralSummary, lam: float) -> float:
     return float(np.searchsorted(eigs, lam, side="right")) / eigs.shape[0]
 
 
-def empirical_moment(summary: SpectralSummary, k: int) -> float:
-    """One-realization spectral moment (1/N) sum lambda_j^k."""
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    if k == 0:
-        return 1.0
-    return float(np.mean(summary.eigenvalues**k))
+def trace_moments(summary: SpectralSummary, k_max: int) -> np.ndarray:
+    """The moments (1/N) tr H^k, k = 0..k_max, from sparse powers of H.
+
+    Builds H^j for j <= ceil(k_max/2) and reads each order by a Frobenius
+    identity of the symmetric powers: tr H = the diagonal sum, tr H^(2j) =
+    |H^j|_F^2 and tr H^(2j+1) = <H^(j+1), H^j>_F.  The even orders sum the
+    squares of the stored values, which holds because a canonical CSR
+    matrix, and scipy's CSR product, store no duplicate entries.  Solves
+    nothing.
+    """
+    if k_max < 0:
+        raise ValueError(f"moment order must be >= 0, got {k_max}")
+    h = summary.h
+    traces = np.empty(k_max + 1)
+    traces[0] = summary.size
+    if k_max >= 1:
+        traces[1] = h.diagonal().sum()
+    if k_max >= 2:
+        traces[2] = h.data @ h.data
+    power = h
+    for k in range(3, k_max + 1, 2):
+        higher = h @ power  # H^((k+1)/2)
+        traces[k] = higher.multiply(power).data.sum()
+        if k < k_max:
+            traces[k + 1] = higher.data @ higher.data
+        power = higher
+    return traces / summary.size
 
 
 def log_det_density(summary: SpectralSummary) -> float:

@@ -139,6 +139,10 @@ BAD_VALUES = [
     (["logdet", "--v", "nan"], "v must be finite"),
     (["zeta", "--graph", "C3", "--u", "nan"], "--u must be finite"),
     (["zeta", "--graph", "C3", "--u", "inf"], "--u must be finite"),
+    (["zeta", "--graph", "C3", "--u", "1e200"], "--u 1e+200: the reciprocal zeta overflows"),
+    (["sample", "--n", "3", "--R", "inf"], "--R must be finite"),
+    (["converge", "--n-sweep", "8", "--r-scale", "nan"], "--r-scale must be finite and > 0"),
+    (["converge", "--n-sweep", "8", "--r-scale", "-1"], "--r-scale must be finite and > 0"),
 ]
 
 

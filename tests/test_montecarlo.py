@@ -40,6 +40,15 @@ class TestRunTrial:
         m2, p2 = run_trial(20, 2.0, gauss_profile, 1.0, seed=5, k_max=4)
         assert np.array_equal(m1, m2) and p1 == p2
 
+    def test_runs_no_eigensolve(self, gauss_profile, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        moments, _ = run_trial(200, 20.0, gauss_profile, 1.0, seed=3, k_max=12)
+        assert moments.shape == (13,) and moments[0] == 1.0
+        assert np.all(np.isfinite(moments))
+
 
 class TestSampleSpectrum:
     def test_no_dense_matrix_at_n8001(self, gauss_profile):
@@ -115,6 +124,21 @@ class TestConvergenceSweep:
         monkeypatch.setattr(montecarlo, "sample_adjacency", counted)
         with pytest.raises(ValueError, match=">= 2"):
             convergence_sweep([150, 4], 0.5, gauss_profile, 1.0, seed=1, trials=[3, 1], k_max=1)
+        assert draws == []
+
+    @pytest.mark.parametrize("r_scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_r_scale_checked_before_sampling(self, gauss_profile, monkeypatch, r_scale):
+        draws = []
+        real = montecarlo.sample_adjacency
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_adjacency", counted)
+        with pytest.raises(ValueError, match="r_scale must be finite and > 0"):
+            convergence_sweep([8, 16], 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1,
+                              r_scale=r_scale)
         assert draws == []
 
     def test_sizes_share_no_trial_stream(self, gauss_profile, monkeypatch):

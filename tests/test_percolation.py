@@ -57,6 +57,7 @@ def test_offset_probabilities_value():
 @pytest.mark.parametrize("n,radius,reason", [
     (0, 2.0, "n must be"), (-1, 2.0, "n must be"),
     (3, 0.99, "radius must be"), (3, float("nan"), "radius must be"),
+    (3, float("inf"), "radius must be finite"),
 ])
 def test_offset_probabilities_refusals(n, radius, reason, gauss_profile):
     with pytest.raises(ValueError, match=reason):

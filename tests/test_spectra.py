@@ -7,15 +7,15 @@ from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from zetaspectra import spectra
 from zetaspectra.graphs import cycle_graph
-from zetaspectra.percolation import Profile, build_h, sample_adjacency
+from zetaspectra.percolation import AdjacencySample, Profile, build_h, sample_adjacency
 from zetaspectra.spectra import (
     counting_function,
     eigenvalue_summary,
-    empirical_moment,
     histogram_density,
     log_det_density,
     log_prefactor_density,
     neg_log_zeta_density,
+    trace_moments,
 )
 from zetaspectra.zeta import zeta_reciprocal_polynomial
 
@@ -134,26 +134,68 @@ class TestCountingFunction:
         assert vals[0] >= 0.0 and vals[-1] <= 1.0
 
 
+def sampled_h(family, amplitude, n, radius, v, seed):
+    profile = Profile.from_name(family, amplitude)
+    sample = sample_adjacency(n, radius, profile, seed=seed)
+    return build_h(sample.adjacency(), sample.degrees(), v, profile.phi1), profile.phi1
+
+
 class TestEmpiricalMoments:
+    """`trace_moments` against moments of the dense spectrum and of dense powers."""
+
     def test_zeroth_is_one(self):
         s = summary_from_eigs([1.0, 2.0, 3.0])
-        assert empirical_moment(s, 0) == 1.0
+        assert trace_moments(s, 0).tolist() == [1.0]
+        with pytest.raises(ValueError, match=">= 0"):
+            trace_moments(s, -1)
 
     def test_first_is_normalized_trace(self, gauss_profile):
         sample = sample_adjacency(25, 2.0, gauss_profile, seed=4)
         h = build_h(sample.entries, sample.degrees(), 1.0, gauss_profile.phi1)
         s = eigenvalue_summary(h, v=1.0, phi1=gauss_profile.phi1)
-        assert empirical_moment(s, 1) == pytest.approx(h.diagonal().sum() / h.shape[0], rel=1e-10)
+        assert trace_moments(s, 1)[1] == pytest.approx(h.diagonal().sum() / h.shape[0], rel=1e-10)
 
     def test_trace_identities_dual_route(self, gauss_profile):
-        # spectrum route against direct matrix powers for k = 1..4
+        # Frobenius identities against traces of dense matrix powers for k = 1..4
         sample = sample_adjacency(25, 2.0, gauss_profile, seed=5)
         h = build_h(sample.entries, sample.degrees(), 1.1, gauss_profile.phi1).toarray()
         s = eigenvalue_summary(h, v=1.1, phi1=gauss_profile.phi1)
         n = h.shape[0]
+        traces = trace_moments(s, 4)
         for k in range(1, 5):
-            trace = np.trace(np.linalg.matrix_power(h, k)) / n
-            assert empirical_moment(s, k) == pytest.approx(trace, rel=1e-8)
+            assert traces[k] == pytest.approx(np.trace(np.linalg.matrix_power(h, k)) / n, rel=1e-8)
+
+    @pytest.mark.parametrize("family,amplitude,v", [
+        ("gauss", 0.5, 1.0),  # subcritical forest
+        ("exp", 0.9, 0.5),  # supercritical, a giant component
+        ("lorentz", 0.5, 1.0),
+    ])
+    def test_matches_dense_spectrum(self, family, amplitude, v):
+        for n, seed in ((200, 0), (200, 1), (400, 2)):
+            h, phi1 = sampled_h(family, amplitude, n, 20.0, v, seed)
+            eigs = np.linalg.eigvalsh(h.toarray())
+            s = eigenvalue_summary(h, v=v, phi1=phi1)
+            traces = trace_moments(s, 12)
+            assert traces == pytest.approx([np.mean(eigs**k) for k in range(13)], rel=1e-12)
+            # a shorter table is a prefix of a longer one, bit for bit
+            for k_max in range(12):
+                assert np.array_equal(trace_moments(s, k_max), traces[: k_max + 1])
+
+    def test_edgeless_sample(self):
+        sample = AdjacencySample(n=3, edges=np.empty((2, 0), dtype=np.int64))
+        h = build_h(sample.adjacency(), sample.degrees(), 1.0, 0.9)
+        assert h.nnz == 0
+        traces = trace_moments(eigenvalue_summary(h, v=1.0, phi1=0.9), 7)
+        assert traces.tolist() == [1.0] + [0.0] * 7
+
+    def test_csr_power_holds_no_duplicates(self):
+        # the even orders sum squared stored values, so no entry may be stored twice
+        h, _ = sampled_h("exp", 0.9, 200, 20.0, 0.5, 3)
+        power = h
+        for _ in range(3):
+            power = h @ power
+            rows = np.repeat(np.arange(power.shape[0]), np.diff(power.indptr))
+            assert np.unique(rows * power.shape[0] + power.indices).size == power.nnz
 
 
 class TestLogDetDensity:
