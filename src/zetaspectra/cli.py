@@ -7,7 +7,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -35,6 +34,8 @@ def _fmt(x) -> str:
 
 @dataclasses.dataclass
 class ExperimentConfig:
+    """The experiment flags, checked; a flag a subcommand lacks keeps its default."""
+
     n: int = 50
     radius: float = 4.0
     profile: str = "gauss"
@@ -51,38 +52,21 @@ class ExperimentConfig:
             raise ValueError("n must be >= 1")
         if not 1.0 <= self.radius < math.inf:
             raise ValueError(f"--R must be finite and >= 1, got {self.radius}")
-        if not 0.0 < self.amplitude < 1.0:
-            raise ValueError("amplitude must lie in (0, 1)")
         if not math.isfinite(self.v):
             raise ValueError(f"v must be finite, got {self.v}")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
     def make_profile(self) -> percolation.Profile:
         return percolation.Profile.from_name(self.profile, self.amplitude)
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-
-
-def _read_config(path) -> dict:
-    """The typed key=value pairs a config file sets, unvalidated."""
-    items = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ValueError(f"unknown config key {key!r}")
-            caster = {"int": int, "float": float, "str": str}[_CONFIG_FIELDS[key]]
-            items[key] = caster(raw)
-    return items
+def _json(payload, indent=None) -> str:
+    """payload as strict JSON: a NaN or an infinity is refused, not written."""
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"the output holds a value JSON cannot carry ({exc})") from None
 
 
 def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
@@ -93,8 +77,7 @@ def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
         "stream": STREAM,
     }
     with open(out_path + ".meta.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
+        fh.write(_json(meta, indent=1))
 
 
 def _emit(text: str, out: str, args) -> None:
@@ -116,19 +99,18 @@ def _csv(rows, header) -> str:
 def _table(rows, header, fmt: str) -> str:
     """Rows as CSV, or as a JSON list of {header: value} dicts."""
     if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+        return _json([dict(zip(header, row)) for row in rows])
     return _csv(rows, header)
 
 
 # Experiment flags; each subcommand takes only the ones its handler reads.
 _FLAGS = {
-    "--config": dict(default=None, help="key=value config file; flags override"),
     "--n": dict(type=int, default=None, help="half-width; N = 2n+1 vertices"),
     "--R": dict(dest="radius", type=float, default=None, help="interaction radius >= 1"),
     "--profile": dict(choices=["exp", "gauss", "lorentz"], default=None),
     "--a": dict(dest="amplitude", type=float, default=None, help="profile amplitude in (0,1)"),
     "--v": dict(type=float, default=None, help="spectral parameter"),
-    "--seed": dict(type=int, default=None, help="base seed (env ZS_SEED as fallback)"),
+    "--seed": dict(type=int, default=None, help="base seed"),
     "--trials": dict(type=int, default=None),
     "--kmax": dict(dest="k_max", type=int, default=None),
     "--out": dict(default=None, help="output path (stdout if omitted)"),
@@ -146,17 +128,11 @@ def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    # precedence: flags > config file > ZS_SEED > defaults
-    base = dataclasses.asdict(ExperimentConfig())
-    if os.environ.get("ZS_SEED"):
-        base["seed"] = int(os.environ["ZS_SEED"])
-    if args.config:
-        base.update(_read_config(args.config))
-    for key in base:
-        value = getattr(args, key, None)
-        if value is not None:
-            base[key] = value
-    return ExperimentConfig(**base)
+    """The experiment flags the subcommand was given, over the defaults."""
+    names = [field.name for field in dataclasses.fields(ExperimentConfig)]
+    return ExperimentConfig(**{
+        name: getattr(args, name) for name in names if getattr(args, name, None) is not None
+    })
 
 
 def _cmd_sample(args) -> int:
@@ -171,7 +147,7 @@ def _cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
     _, summary = sample_spectrum(cfg.n, cfg.radius, cfg.make_profile(), cfg.v, cfg.seed)
     if cfg.fmt == "json":
-        text = json.dumps({"eigenvalues": [float(x) for x in summary.eigenvalues]}) + "\n"
+        text = _json({"eigenvalues": [float(x) for x in summary.eigenvalues]})
     else:
         text = _csv(enumerate(summary.eigenvalues), ["index", "lambda"])
     _emit(text, cfg.out, args)
@@ -196,7 +172,7 @@ def _cmd_moments(args) -> int:
             ).as_dict(),
             "tree": moments.tree_bound_report(cfg.k_max, c_tree, cfg.v, phi1).as_dict(),
         }
-        _emit(json.dumps(payload, indent=1) + "\n", cfg.out, args)
+        _emit(_json(payload, indent=1), cfg.out, args)
         return 0
     if args.theory:
         rows = zip(
@@ -317,7 +293,7 @@ def _cmd_zeta(args) -> int:
     if args.check_order:
         gap = zeta.series_consistency(adj, poly, args.check_order)
         payload["series_gap"] = str(gap)
-    _emit(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out, args)
+    _emit(_json(payload, indent=1), args.out, args)
     return 1 if gap else 0
 
 
@@ -333,22 +309,19 @@ def _cmd_limits(args) -> int:
         rows = [(x, limits.semicircle_density(float(x), cfg.v)) for x in grid]
         text = _csv(rows, ["lambda", "density"])
     else:
-        table = []
+        rows = []
         for z_im in (0.5, 1.0, 2.0):
             for z_re in np.linspace(-4.0, 4.0, 17):
                 g = limits.stieltjes_transform(complex(z_re, z_im), cfg.v)
-                table.append(
-                    {"z_re": z_re, "z_im": z_im, "g_re": g.real, "g_im": g.imag}
-                )
-        text = json.dumps(table) + "\n"
+                rows.append((z_re, z_im, g.real, g.imag))
+        text = _table(rows, ["z_re", "z_im", "g_re", "g_im"], "json")
     _emit(text, cfg.out, args)
     return 0
 
 
 def _cmd_validate(args) -> int:
     report = run_validation()
-    text = json.dumps(report, indent=1) + "\n"
-    _emit(text, args.out, args)
+    _emit(_json(report, indent=1), args.out, args)
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{status}: {check['name']} ({check['detail']})", file=sys.stderr)
@@ -375,20 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("sample", _cmd_sample, "draw an adjacency matrix and write its edge list",
-            "--config --n --R --profile --a --seed --out")
+            "--n --R --profile --a --seed --out")
 
     p = command("spectrum", _cmd_spectrum, "eigenvalues of one sampled matrix",
-                "--config --n --R --profile --a --v --seed --out --format")
+                "--n --R --profile --a --v --seed --out --format")
     p.add_argument("--hist-bins", type=int, default=0)
 
     p = command("moments", _cmd_moments, "empirical vs limiting moments",
-                "--config --n --R --profile --a --v --seed --trials --kmax --out --format")
+                "--n --R --profile --a --v --seed --trials --kmax --out --format")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--theory", action="store_true", help="theory table only, no sampling")
     mode.add_argument("--bounds", action="store_true", help="JSON bound report up to --kmax")
 
     p = command("converge", _cmd_converge, "moment gaps along a size sweep",
-                "--config --profile --a --v --seed --kmax --out --format")
+                "--profile --a --v --seed --kmax --out --format")
     p.add_argument("--n-sweep", type=_int_list, default="250,500,1000",
                    help="comma-separated n values")
     p.add_argument("--trials", dest="trial_counts", type=_int_list, default=None,
@@ -397,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-scale", type=float, default=1.0)
 
     p = command("logdet", _cmd_logdet, "trial-mean log-det density against its limit integral",
-                "--config --n --R --profile --a --v --seed --trials --out --format")
+                "--n --R --profile --a --v --seed --trials --out --format")
     p.add_argument("--gauss-points", type=int, default=8,
                    help="nodes of the moment-built Gauss rule for the limit integral")
 
@@ -406,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=None)
     p.add_argument("--check-order", type=int, default=0)
 
-    p = command("limits", _cmd_limits, "limit-law tables for plotting", "--config --v --out")
+    p = command("limits", _cmd_limits, "limit-law tables for plotting", "--v --out")
     p.add_argument("--what", choices=["fgrid", "density", "stieltjes"], default="fgrid")
     p.add_argument("--v-min", type=float, default=-2.0)
     p.add_argument("--v-max", type=float, default=2.0)

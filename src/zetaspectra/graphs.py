@@ -16,6 +16,8 @@ __all__ = [
     "zeta_corpus",
 ]
 
+MAX_TRIES = 1000  # draws random_connected_graph makes before it refuses
+
 
 def empty_graph(n: int) -> np.ndarray:
     return np.zeros((n, n), dtype=np.int64)
@@ -60,22 +62,22 @@ def is_connected(adj: np.ndarray) -> bool:
     return len(seen) == n
 
 
-def random_connected_graph(n: int, edge_prob: float, seed: int, max_tries: int = 1000) -> np.ndarray:
+def random_connected_graph(n: int, edge_prob: float, seed: int) -> np.ndarray:
     """Rejection-sample a simple connected graph with iid edges.
 
     Refuses edge_prob <= 0 on two or more vertices, where no draw can be
-    connected, and raises ValueError when max_tries draws all fail.
+    connected, and raises ValueError when MAX_TRIES draws all fail.
     """
     if n >= 2 and edge_prob <= 0.0:
         raise ValueError(f"no connected graph on {n} vertices with edge probability {edge_prob}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         upper = rng.random((n, n)) < edge_prob
         adj = np.triu(upper, k=1).astype(np.int64)
         adj = adj + adj.T
         if is_connected(adj):
             return adj
-    raise ValueError(f"no connected graph found in {max_tries} tries (p={edge_prob})")
+    raise ValueError(f"no connected graph found in {MAX_TRIES} tries (p={edge_prob})")
 
 
 def read_edge_list(path) -> np.ndarray:

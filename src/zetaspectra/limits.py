@@ -104,6 +104,8 @@ def stieltjes_transform(z: complex, v: float) -> complex:
         root = math.sqrt(x * x - 4.0 * v * v)
         return complex((-x + math.copysign(root, x)) / (2.0 * v * v))
     disc = cmath.sqrt(shift * shift - 4.0 * v * v)
+    if not cmath.isfinite(disc):
+        raise ValueError(f"v = {v:g}: the transform's discriminant overflows a float")
     for g in ((-shift + disc) / (2 * v * v), (-shift - disc) / (2 * v * v)):
         if z.imag * g.imag >= 0.0:
             return g

@@ -83,7 +83,12 @@ def _binomial_rows(k_max: int) -> dict[int, dict[int, int]]:
 def _edge_scales(k_max: int, v: float, phi1: float) -> list[float]:
     """scales[e] = v^(2e)/phi1^(e-1) for 0 <= e <= k_max."""
     v2 = v * v
-    return [v2**e / phi1 ** (e - 1) for e in range(k_max + 1)]
+    try:
+        return [v2**e / phi1 ** (e - 1) for e in range(k_max + 1)]
+    except OverflowError:
+        raise ValueError(
+            f"v = {v:g}: the edge scale v^(2k)/phi1^(k-1) overflows a float by k = {k_max}"
+        ) from None
 
 
 def _compose(k_max: int, binom, first_edge, exit_scales) -> list[list[float]]:
@@ -314,11 +319,17 @@ class BoundReport:
         return asdict(self)
 
 
+def _check_bound_v(v: float) -> None:
+    if v == 0.0:
+        raise ValueError("v = 0 makes every moment bound (C v^2)^k zero")
+
+
 def adjacency_bound_report(p_max: int, constant: float, v: float, phi1: float) -> BoundReport:
     """Check max_r A[p][r] <= (C v^2)^p p^(2p) for p <= p_max.
 
     Admissibility requires C >= 1 and C*phi1 >= 1.
     """
+    _check_bound_v(v)
     # boundary tolerance: C = 1/phi1 must stay admissible under rounding
     if constant < 1.0 - 1e-12 or constant * phi1 < 1.0 - 1e-12:
         raise ValueError("C inadmissible: need C >= 1 and C*phi1 >= 1")
@@ -333,6 +344,7 @@ def adjacency_bound_report(p_max: int, constant: float, v: float, phi1: float) -
 
 
 def _tree_bound_inequalities(constant: float, v: float, phi1: float) -> tuple[float, float]:
+    _check_bound_v(v)
     c = constant
     lhs1 = (1.0 / c) * (1.0 + 1.0 / (c * v * v)) * math.exp(1.0 / (c * phi1))
     lhs2 = (1.0 / (c * phi1)) * (1.0 + 1.0 / (c * v * v))

@@ -189,6 +189,8 @@ def convergence_sweep(
     if not 0.0 < r_scale < math.inf:
         raise ValueError(f"r_scale must be finite and > 0, got {r_scale}")
     n_values = list(n_values)
+    if min(n_values, default=1) < 1:
+        raise ValueError(f"n must be >= 1, got {min(n_values)}")
     if isinstance(trials, int):
         trials = [trials] * len(n_values)
     elif len(trials) != len(n_values):

@@ -65,16 +65,14 @@ class SpectralSummary:
     v: float
     phi1: float
 
-    eigenvalues = property(lambda self: self._spectrum[0], doc="Ascending; solved on first read.")
-    trace_check = property(lambda self: self._spectrum[1], doc="|eigenvalue sum - trace|.")
-
     @property
     def size(self) -> int:
         return self.h.shape[0]
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, float]:
-        """Sorted spectrum, one block at a time, checked against the trace."""
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum, solved on first read one block at a time and
+        checked against the trace."""
         h, n = self.h, self.size
         rows = np.repeat(np.arange(n), np.diff(h.indptr))
         cols, values = h.indices.astype(np.intp), h.data
@@ -107,7 +105,7 @@ class SpectralSummary:
         tol = TRACE_RTOL * n * max(1.0, abs(trace))
         if gap > tol:
             raise ArithmeticError(f"eigenvalue sum deviates from trace by {gap:.3e}")
-        return eigs, gap
+        return eigs
 
 
 def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:

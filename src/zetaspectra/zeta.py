@@ -187,15 +187,14 @@ def zeta_reciprocal_polynomial(adj: np.ndarray) -> ReciprocalZeta:
     )
 
 
-def count_closed_paths(adj: np.ndarray, k: int, tailless: bool = True) -> int:
+def count_closed_paths(adj: np.ndarray, k: int) -> int:
     """Number of closed backtrackless tailless paths of length k.
 
     Paths are counted individually: each starting vertex and each direction
     contributes one, so a triangle has 6 paths of length 3.  On the 2E
     darts (directed edges), B[(x, y), (y, z)] = 1 when z != x, and tr(B^k)
     counts the paths whose first step does not reverse their last
-    (Hashimoto).  With tailless=False, J[(a, b), (c, d)] = [b = c] closes
-    the path and the count is tr(B^(k-1) J).
+    (Hashimoto).
     """
     adj = _validate_small_graph(adj, limit=MAX_PATH_VERTICES)
     if k < 1:
@@ -208,9 +207,7 @@ def count_closed_paths(adj: np.ndarray, k: int, tailless: bool = True) -> int:
     # a dart has at most MAX_PATH_VERTICES - 2 successors, so within the
     # budgets every entry and the trace stay below 2E * 8^12 ~ 6e12: int64
     # is exact
-    if tailless:
-        return int(np.trace(np.linalg.matrix_power(step, k)))
-    return int(np.trace(np.linalg.matrix_power(step, k - 1) @ follows.astype(np.int64)))
+    return int(np.trace(np.linalg.matrix_power(step, k)))
 
 
 def series_consistency(adj: np.ndarray, poly: ReciprocalZeta, order: int) -> Fraction:

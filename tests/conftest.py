@@ -24,3 +24,19 @@ def param_grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def _tailed_closed_paths(adj, k):
+    """Closed backtrackless paths of length k >= 1 whose last step may reverse
+    their first: tr(B^(k-1) J) on the darts, where J[(a, b), (c, d)] = [b = c]
+    closes the path.  It is zeta.count_closed_paths without its tailless
+    condition, the fault that the mutation checks inject."""
+    tails, heads = np.nonzero(np.asarray(adj))
+    follows = (heads[:, None] == tails[None, :]).astype(np.int64)
+    step = follows * (tails[:, None] != heads[None, :])
+    return int(np.trace(np.linalg.matrix_power(step, k - 1) @ follows))
+
+
+@pytest.fixture(scope="session")
+def tailed_closed_paths():
+    return _tailed_closed_paths

@@ -141,7 +141,7 @@ def test_criterion_11_zeta_bridge():
     assert report_checks(11, "zeta-bridge", validate.check_zeta_bridge)
 
 
-def test_criterion_12_mutation_sensitivity(monkeypatch, capsys):
+def test_criterion_12_mutation_sensitivity(monkeypatch, capsys, tailed_closed_paths):
     original_binomial = moments.extended_binomial
 
     def faulty_binomial(a, b):
@@ -154,11 +154,7 @@ def test_criterion_12_mutation_sensitivity(monkeypatch, capsys):
     monkeypatch.setattr(moments, "extended_binomial", original_binomial)
 
     original_counts = zeta.count_closed_paths
-
-    def faulty_counts(adj, k, tailless=True):
-        return original_counts(adj, k, tailless=False)
-
-    monkeypatch.setattr(zeta, "count_closed_paths", faulty_counts)
+    monkeypatch.setattr(zeta, "count_closed_paths", tailed_closed_paths)
     second = cli.main(["validate"])
     monkeypatch.setattr(zeta, "count_closed_paths", original_counts)
     capsys.readouterr()

@@ -27,52 +27,8 @@ class TestConfig:
             ExperimentConfig(n=0)
         with pytest.raises(ValueError):
             ExperimentConfig(radius=0.5)
-        with pytest.raises(ValueError):
-            ExperimentConfig(amplitude=1.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(fmt="xml")
         with pytest.raises(ValueError, match="k_max"):
             ExperimentConfig(k_max=-1)
-
-    def test_flags_override_config_file(self, tmp_path, capsys):
-        path = tmp_path / "run.cfg"
-        path.write_text("n=5\nseed=1\n")
-        out = tmp_path / "a.txt"
-        assert main(["sample", "--config", str(path), "--seed", "7", "--out", str(out)]) == 0
-        first = out.read_bytes()
-        assert main(["sample", "--n", "5", "--seed", "7", "--out", str(out)]) == 0
-        assert out.read_bytes() == first
-
-    def test_config_file_seed_beats_zs_seed(self, tmp_path, monkeypatch):
-        # a config file replays its own seed whatever ZS_SEED says
-        path = tmp_path / "run.cfg"
-        path.write_text("n=6\nseed=5\n")
-        out1, out2, out3 = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
-        monkeypatch.setenv("ZS_SEED", "7")
-        assert main(["sample", "--config", str(path), "--out", str(out1)]) == 0
-        assert main(["sample", "--n", "6", "--out", str(out3)]) == 0
-        monkeypatch.delenv("ZS_SEED")
-        assert main(["sample", "--n", "6", "--seed", "5", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert out1.read_bytes() != out3.read_bytes()
-
-    def test_zs_seed_fills_config_without_seed(self, tmp_path, monkeypatch):
-        path = tmp_path / "run.cfg"
-        path.write_text("n=6\n")
-        out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        monkeypatch.setenv("ZS_SEED", "7")
-        assert main(["sample", "--config", str(path), "--out", str(out1)]) == 0
-        monkeypatch.delenv("ZS_SEED")
-        assert main(["sample", "--n", "6", "--seed", "7", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_zs_seed_env_fallback(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        monkeypatch.setenv("ZS_SEED", "31")
-        assert main(["sample", "--n", "6", "--out", str(out1)]) == 0
-        monkeypatch.delenv("ZS_SEED")
-        assert main(["sample", "--n", "6", "--seed", "31", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 UNREAD_FLAGS = {
@@ -83,6 +39,9 @@ UNREAD_FLAGS = {
     "sample": ["sample", "--v", "1"],
     "spectrum": ["spectrum", "--kmax", "3"],
     "spectrum-plot-script": ["spectrum", "--n", "5", "--plot-script", "plot.py"],
+    # the argv is the whole input: no subcommand reads a config file
+    **{f"{command}-config": [command, "--config", "run.cfg"]
+       for command in ("sample", "spectrum", "moments", "converge", "logdet", "limits")},
 }
 
 
@@ -143,6 +102,14 @@ BAD_VALUES = [
     (["sample", "--n", "3", "--R", "inf"], "--R must be finite"),
     (["converge", "--n-sweep", "8", "--r-scale", "nan"], "--r-scale must be finite and > 0"),
     (["converge", "--n-sweep", "8", "--r-scale", "-1"], "--r-scale must be finite and > 0"),
+    (["converge", "--n-sweep", "-3", "--trials", "2"], "n must be >= 1, got -3"),
+    (["converge", "--n-sweep", "8,0", "--trials", "2"], "n must be >= 1, got 0"),
+    (["sample", "--a", "1"], "amplitude must lie in (0, 1)"),
+    (["moments", "--theory", "--kmax", "16", "--v", "1e80"], "v = 1e+80: the edge scale"),
+    (["moments", "--bounds", "--v", "0"], "v = 0 makes every moment bound"),
+    (["limits", "--what", "stieltjes", "--v", "1e200"], "v = 1e+200: the transform's discriminant"),
+    # v^2 overflows to inf and the bound ratios to nan: the JSON writer refuses them
+    (["moments", "--bounds", "--kmax", "4", "--v", "1e200"], "a value JSON cannot carry"),
 ]
 
 
@@ -154,6 +121,34 @@ def test_bad_value_is_refused(argv, reason, capsys):
 
 
 SUBCOMMANDS = {"sample", "spectrum", "moments", "converge", "logdet", "zeta", "limits", "validate"}
+
+# one small run of every subcommand, written with a sidecar
+SIDECAR_RUNS = {
+    "sample": ["sample", "--n", "20", "--R", "3", "--seed", "5"],
+    "spectrum": ["spectrum", "--n", "10", "--R", "2", "--seed", "3", "--hist-bins", "4"],
+    "moments": ["moments", "--n", "10", "--trials", "3", "--kmax", "3", "--seed", "2",
+                "--format", "json"],
+    "converge": ["converge", "--n-sweep", "8,12", "--trials", "2", "--kmax", "2", "--seed", "1"],
+    "logdet": ["logdet", "--n", "10", "--R", "3", "--v", "0.5", "--trials", "2",
+               "--gauss-points", "2", "--seed", "4"],
+    "zeta": ["zeta", "--graph", "random:6,0.5,3", "--u", "0.2", "--check-order", "6"],
+    "limits": ["limits", "--what", "stieltjes", "--v", "0.8"],
+    "validate": ["validate"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIDECAR_RUNS))
+def test_sidecar_argv_reruns_output(command, tmp_path, capsys):
+    # the argv is the whole input, so a sidecar's argv reproduces its output
+    out = tmp_path / "out.txt"
+    outputs = [out, tmp_path / "out.txt.hist.csv"] if command == "spectrum" else [out]
+    code = main(SIDECAR_RUNS[command] + ["--out", str(out)])
+    first = [path.read_bytes() for path in outputs]
+    argv = json.loads((tmp_path / "out.txt.meta.json").read_text())["argv"]
+    for path in outputs:
+        path.unlink()
+    assert main(argv) == code == 0
+    assert [path.read_bytes() for path in outputs] == first
 
 
 def test_readme_commands_parse():
@@ -490,16 +485,11 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "FAIL" in err and "walk-oracle-vs-recurrence" in err
 
-    def test_injected_tailless_fault_is_caught(self, monkeypatch, capsys):
+    def test_injected_tailless_fault_is_caught(self, monkeypatch, capsys, tailed_closed_paths):
         # dropping the tailless filter inflates path counts on any graph
         # with a vertex of degree three or more, breaking exactness of the
         # series pairing (cycles alone cannot see this fault)
-        original = zeta.count_closed_paths
-
-        def faulty(adj, k, tailless=True):
-            return original(adj, k, tailless=False)
-
-        monkeypatch.setattr(zeta, "count_closed_paths", faulty)
+        monkeypatch.setattr(zeta, "count_closed_paths", tailed_closed_paths)
         assert main(["validate"]) == 1
         err = capsys.readouterr().err
         assert "FAIL" in err and "zeta-series-vs-determinant" in err

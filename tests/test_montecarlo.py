@@ -113,7 +113,9 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="3 sizes"):
             convergence_sweep([8, 16, 32], 0.5, gauss_profile, 1.0, seed=1, trials=[3], k_max=1)
 
-    def test_trial_counts_checked_before_sampling(self, gauss_profile, monkeypatch):
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The arguments of every sample_adjacency call the test makes."""
         draws = []
         real = montecarlo.sample_adjacency
 
@@ -122,20 +124,21 @@ class TestConvergenceSweep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "sample_adjacency", counted)
+        return draws
+
+    def test_trial_counts_checked_before_sampling(self, gauss_profile, draws):
         with pytest.raises(ValueError, match=">= 2"):
             convergence_sweep([150, 4], 0.5, gauss_profile, 1.0, seed=1, trials=[3, 1], k_max=1)
         assert draws == []
 
+    @pytest.mark.parametrize("n_values", [[-3], [8, 0]])
+    def test_sizes_checked_before_sampling(self, gauss_profile, draws, n_values):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            convergence_sweep(n_values, 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1)
+        assert draws == []
+
     @pytest.mark.parametrize("r_scale", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_r_scale_checked_before_sampling(self, gauss_profile, monkeypatch, r_scale):
-        draws = []
-        real = montecarlo.sample_adjacency
-
-        def counted(*args, **kwargs):
-            draws.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "sample_adjacency", counted)
+    def test_r_scale_checked_before_sampling(self, gauss_profile, draws, r_scale):
         with pytest.raises(ValueError, match="r_scale must be finite and > 0"):
             convergence_sweep([8, 16], 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1,
                               r_scale=r_scale)

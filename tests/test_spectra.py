@@ -62,6 +62,14 @@ class TestEigenvalueSummary:
         s = eigenvalue_summary(h, v=1.2, phi1=gauss_profile.phi1)
         assert float(s.eigenvalues.sum()) == pytest.approx(h.diagonal().sum(), rel=1e-10)
 
+    def test_trace_mismatch_raises(self, monkeypatch):
+        # a block solve whose eigenvalues do not sum to the trace is refused
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1.0)
+        s = eigenvalue_summary(block_diag(np.ones((2, 2)), [[3.0]]), v=1.0, phi1=1.0)
+        with pytest.raises(ArithmeticError, match="deviates from trace"):
+            s.eigenvalues
+
     def test_eigenpair_residual_spot_check(self, gauss_profile):
         sample = sample_adjacency(30, 2.5, gauss_profile, seed=8)
         h = build_h(sample.entries, sample.degrees(), 0.9, gauss_profile.phi1).toarray()
@@ -106,12 +114,11 @@ class TestBlockRouteAgainstDense:
         diagonal = np.array([3.0, -1.0, 0.0, 2.5, -1.0])
         s = eigenvalue_summary(np.diag(diagonal), v=1.0, phi1=1.0)
         assert np.array_equal(s.eigenvalues, np.sort(diagonal))
-        assert s.trace_check == 0.0
 
     def test_one_by_one_and_empty(self):
         assert np.array_equal(eigenvalue_summary(np.array([[2.5]]), 1.0, 1.0).eigenvalues, [2.5])
         empty = eigenvalue_summary(np.zeros((0, 0)), 1.0, 1.0)
-        assert empty.size == 0 and empty.trace_check == 0.0
+        assert empty.size == 0 and empty.eigenvalues.size == 0
 
 
 class TestCountingFunction:

@@ -195,11 +195,11 @@ class TestClosedPaths:
         with pytest.raises(ValueError):
             count_closed_paths(cycle_graph(3), 0)
 
-    def test_tailless_constraint_matters_on_k4(self):
+    def test_tailless_constraint_matters_on_k4(self, tailed_closed_paths):
         # on cycles every backtrackless closed path winds one way, so the
         # tailless condition only bites once a vertex has degree >= 3
         k4 = complete_graph(4)
-        with_tail = count_closed_paths(k4, 5, tailless=False)
+        with_tail = tailed_closed_paths(k4, 5)
         without_tail = count_closed_paths(k4, 5)
         assert with_tail > without_tail
 
@@ -230,19 +230,19 @@ def dfs_closed_paths(adj, k, tailless=True):
 
 class TestClosedPathsAgainstListing:
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_graphs(self, seed):
+    def test_random_graphs(self, seed, tailed_closed_paths):
         rng = np.random.default_rng(seed)
         for _ in range(6):
             n = int(rng.integers(2, 9))
             upper = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.5), 1)
             adj = (upper | upper.T).astype(int)
             for k in range(1, 11):
-                for tailless in (True, False):
-                    expect = dfs_closed_paths(adj, k, tailless)
-                    assert count_closed_paths(adj, k, tailless) == expect, (adj.tolist(), k, tailless)
+                assert count_closed_paths(adj, k) == dfs_closed_paths(adj, k), (adj.tolist(), k)
+                expect = dfs_closed_paths(adj, k, tailless=False)
+                assert tailed_closed_paths(adj, k) == expect, (adj.tolist(), k)
 
     @pytest.mark.parametrize("tailless", [True, False])
-    def test_budget_corner_is_exact(self, tailless):
+    def test_budget_corner_is_exact(self, tailless, tailed_closed_paths):
         # complete_graph(10) at k = 12 holds the largest entries the budgets
         # allow; Python integers cannot overflow
         adj = complete_graph(10)
@@ -252,7 +252,8 @@ class TestClosedPathsAgainstListing:
         last = step if tailless else close
         expect = sum(np.diagonal(np.linalg.matrix_power(step, 11) @ last))
         assert expect > 2**31
-        assert count_closed_paths(adj, 12, tailless) == expect
+        count = count_closed_paths if tailless else tailed_closed_paths
+        assert count(adj, 12) == expect
 
 
 def series_gap(adj, order):
