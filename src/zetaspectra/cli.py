@@ -27,9 +27,14 @@ __all__ = ["main", "ExperimentConfig"]
 
 
 def _fmt(x) -> str:
+    """One table cell: an integer as is, a float to 15 significant digits;
+    a NaN or an infinity is refused, not written."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.15g}"
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValueError(f"the output holds a value CSV cannot carry ({value})")
+    return f"{value:.15g}"
 
 
 @dataclasses.dataclass
@@ -45,7 +50,6 @@ class ExperimentConfig:
     trials: int = 2
     k_max: int = 4
     out: str = ""
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.n < 1:
@@ -96,13 +100,6 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table(rows, header, fmt: str) -> str:
-    """Rows as CSV, or as a JSON list of {header: value} dicts."""
-    if fmt == "json":
-        return _json([dict(zip(header, row)) for row in rows])
-    return _csv(rows, header)
-
-
 # Experiment flags; each subcommand takes only the ones its handler reads.
 _FLAGS = {
     "--n": dict(type=int, default=None, help="half-width; N = 2n+1 vertices"),
@@ -114,7 +111,6 @@ _FLAGS = {
     "--trials": dict(type=int, default=None),
     "--kmax": dict(dest="k_max", type=int, default=None),
     "--out": dict(default=None, help="output path (stdout if omitted)"),
-    "--format": dict(dest="fmt", choices=["csv", "json"], default=None),
 }
 
 
@@ -146,11 +142,7 @@ def _cmd_sample(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
     _, summary = sample_spectrum(cfg.n, cfg.radius, cfg.make_profile(), cfg.v, cfg.seed)
-    if cfg.fmt == "json":
-        text = _json({"eigenvalues": [float(x) for x in summary.eigenvalues]})
-    else:
-        text = _csv(enumerate(summary.eigenvalues), ["index", "lambda"])
-    _emit(text, cfg.out, args)
+    _emit(_csv(enumerate(summary.eigenvalues), ["index", "lambda"]), cfg.out, args)
     if args.hist_bins:
         left, right, dens = spectra.histogram_density(summary, bins=args.hist_bins)
         hist_text = _csv(zip(left, right, dens), ["bin_left", "bin_right", "density"])
@@ -163,14 +155,11 @@ def _cmd_moments(args) -> int:
     profile = cfg.make_profile()
     if args.bounds:
         phi1 = profile.phi1
-        c_tree = moments.admissible_constant(cfg.v, phi1)
         payload = {
             "v": cfg.v,
             "phi1": phi1,
-            "adjacency": moments.adjacency_bound_report(
-                cfg.k_max, max(1.0, 1.0 / phi1), cfg.v, phi1
-            ).as_dict(),
-            "tree": moments.tree_bound_report(cfg.k_max, c_tree, cfg.v, phi1).as_dict(),
+            "adjacency": moments.adjacency_bound_report(cfg.k_max, cfg.v, phi1).as_dict(),
+            "tree": moments.tree_bound_report(cfg.k_max, cfg.v, phi1).as_dict(),
         }
         _emit(_json(payload, indent=1), cfg.out, args)
         return 0
@@ -181,7 +170,7 @@ def _cmd_moments(args) -> int:
             moments.adjacency_moments(cfg.k_max, cfg.v, profile.phi1),
             moments.dense_moments(cfg.k_max, cfg.v),
         )
-        _emit(_table(rows, ["k", "m_k", "ell_k", "mu_k"], cfg.fmt), cfg.out, args)
+        _emit(_csv(rows, ["k", "m_k", "ell_k", "mu_k"]), cfg.out, args)
         return 0
     result = run_ensemble(cfg.n, cfg.radius, profile, cfg.v, cfg.seed, cfg.trials, cfg.k_max)
     rows = [
@@ -189,7 +178,7 @@ def _cmd_moments(args) -> int:
         for r in moment_comparison(result)
     ]
     header = ["k", "mean", "stderr", "theory_m_k", "abs_diff", "z_score"]
-    _emit(_table(rows, header, cfg.fmt), cfg.out, args)
+    _emit(_csv(rows, header), cfg.out, args)
     return 0
 
 
@@ -217,7 +206,7 @@ def _cmd_converge(args) -> int:
         for k in range(0, cfg.k_max + 1):
             rows.append((pt.n_vertices, pt.radius, pt.trials, k, pt.gaps[k], pt.stderrs[k]))
     header = ["N", "R", "trials", "k", "abs_gap", "stderr"]
-    _emit(_table(rows, header, cfg.fmt), cfg.out, args)
+    _emit(_csv(rows, header), cfg.out, args)
     return 0
 
 
@@ -252,7 +241,7 @@ def _cmd_logdet(args) -> int:
            args.gauss_points, integral, mean - integral)
     header = ["N", "R", "v", "phi1", "trials", "logdet_mean", "logdet_stderr",
               "gauss_points", "limit_integral", "gap"]
-    _emit(_table([row], header, cfg.fmt), cfg.out, args)
+    _emit(_csv([row], header), cfg.out, args)
     return 0
 
 
@@ -314,7 +303,7 @@ def _cmd_limits(args) -> int:
             for z_re in np.linspace(-4.0, 4.0, 17):
                 g = limits.stieltjes_transform(complex(z_re, z_im), cfg.v)
                 rows.append((z_re, z_im, g.real, g.imag))
-        text = _table(rows, ["z_re", "z_im", "g_re", "g_im"], "json")
+        text = _json([dict(zip(["z_re", "z_im", "g_re", "g_im"], row)) for row in rows])
     _emit(text, cfg.out, args)
     return 0
 
@@ -351,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--n --R --profile --a --seed --out")
 
     p = command("spectrum", _cmd_spectrum, "eigenvalues of one sampled matrix",
-                "--n --R --profile --a --v --seed --out --format")
+                "--n --R --profile --a --v --seed --out")
     p.add_argument("--hist-bins", type=int, default=0)
 
     p = command("moments", _cmd_moments, "empirical vs limiting moments",
-                "--n --R --profile --a --v --seed --trials --kmax --out --format")
+                "--n --R --profile --a --v --seed --trials --kmax --out")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--theory", action="store_true", help="theory table only, no sampling")
     mode.add_argument("--bounds", action="store_true", help="JSON bound report up to --kmax")
 
     p = command("converge", _cmd_converge, "moment gaps along a size sweep",
-                "--profile --a --v --seed --kmax --out --format")
+                "--profile --a --v --seed --kmax --out")
     p.add_argument("--n-sweep", type=_int_list, default="250,500,1000",
                    help="comma-separated n values")
     p.add_argument("--trials", dest="trial_counts", type=_int_list, default=None,
@@ -370,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-scale", type=float, default=1.0)
 
     p = command("logdet", _cmd_logdet, "trial-mean log-det density against its limit integral",
-                "--n --R --profile --a --v --seed --trials --out --format")
+                "--n --R --profile --a --v --seed --trials --out")
     p.add_argument("--gauss-points", type=int, default=8,
                    help="nodes of the moment-built Gauss rule for the limit integral")
 
@@ -393,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Flags a mode of a subcommand does not read: (command, dest, value) -> flags.
 _UNREAD_IN_MODE = {
     ("moments", "theory", True): "--n --R --seed --trials",
-    ("moments", "bounds", True): "--n --R --seed --trials --format",
+    ("moments", "bounds", True): "--n --R --seed --trials",
     ("limits", "what", "fgrid"): "--v --points",
     ("limits", "what", "density"): "--v-min --v-max --v-count",
     ("limits", "what", "stieltjes"): "--points --v-min --v-max --v-count",

@@ -89,20 +89,14 @@ def semicircle_moment(k: int, v: float) -> float:
 def stieltjes_transform(z: complex, v: float) -> complex:
     """The branch of (v^2 g^2 + (z - v^2) g + 1 = 0) with Im z * Im g >= 0.
 
-    For real z off the support, the value is the boundary limit from the
-    upper half-plane (real there).  Real z inside the support is rejected.
+    Real z is refused: evaluate at Im z != 0.
     """
     if v == 0.0:
         raise ValueError("v = 0 degenerates the transform")
     z = complex(z)
-    shift = z - v * v
     if z.imag == 0.0:
-        lo, hi = semicircle_support(v)
-        if lo <= z.real <= hi:
-            raise ValueError("on-support evaluation requires Im z > 0")
-        x = shift.real
-        root = math.sqrt(x * x - 4.0 * v * v)
-        return complex((-x + math.copysign(root, x)) / (2.0 * v * v))
+        raise ValueError(f"the transform needs Im z != 0, got z = {z}")
+    shift = z - v * v
     disc = cmath.sqrt(shift * shift - 4.0 * v * v)
     if not cmath.isfinite(disc):
         raise ValueError(f"v = {v:g}: the transform's discriminant overflows a float")

@@ -324,15 +324,17 @@ def _check_bound_v(v: float) -> None:
         raise ValueError("v = 0 makes every moment bound (C v^2)^k zero")
 
 
-def adjacency_bound_report(p_max: int, constant: float, v: float, phi1: float) -> BoundReport:
-    """Check max_r A[p][r] <= (C v^2)^p p^(2p) for p <= p_max.
+def _adjacency_constant(phi1: float) -> float:
+    """Smallest C admissible for the adjacency bound: C >= 1 and C*phi1 >= 1."""
+    return max(1.0, 1.0 / phi1)
 
-    Admissibility requires C >= 1 and C*phi1 >= 1.
-    """
+
+def adjacency_bound_report(p_max: int, v: float, phi1: float) -> BoundReport:
+    """Check max_r A[p][r] <= (C v^2)^p p^(2p) for p <= p_max at the smallest
+    admissible C.  The bound grows with C, so passing here implies passing
+    at any larger C."""
     _check_bound_v(v)
-    # boundary tolerance: C = 1/phi1 must stay admissible under rounding
-    if constant < 1.0 - 1e-12 or constant * phi1 < 1.0 - 1e-12:
-        raise ValueError("C inadmissible: need C >= 1 and C*phi1 >= 1")
+    constant = _adjacency_constant(phi1)
     table = adjacency_weight_table(p_max, v, phi1)
     ratios = []
     for p in range(1, p_max + 1):
@@ -351,9 +353,11 @@ def _tree_bound_inequalities(constant: float, v: float, phi1: float) -> tuple[fl
     return lhs1, lhs2
 
 
-def admissible_constant(v: float, phi1: float, tol: float = 1e-12) -> float:
+def admissible_constant(v: float, phi1: float) -> float:
     """Smallest C > 0 satisfying both admissibility inequalities of the
-    tree-weight bound, found by bisection (both sides decrease in C)."""
+    tree-weight bound, found by bisection to a relative 1e-12 (both sides
+    decrease in C)."""
+    tol = 1e-12
     lo, hi = tol, 1.0
     while max(_tree_bound_inequalities(hi, v, phi1)) > 1.0:
         hi *= 2.0
@@ -368,14 +372,12 @@ def admissible_constant(v: float, phi1: float, tol: float = 1e-12) -> float:
     return hi
 
 
-def tree_bound_report(k_max: int, constant: float, v: float, phi1: float) -> BoundReport:
+def tree_bound_report(k_max: int, v: float, phi1: float) -> BoundReport:
     """Check max_r T[k][r] <= (C v^2 k)^k for k <= k_max, and the
-    corollary m_k <= (C v^2)^k k^(k+1) on the summed moments."""
-    lhs1, lhs2 = _tree_bound_inequalities(constant, v, phi1)
-    if lhs1 > 1.0 or lhs2 > 1.0:
-        raise ValueError(
-            f"C inadmissible: inequality values {lhs1:.6g}, {lhs2:.6g} exceed 1"
-        )
+    corollary m_k <= (C v^2)^k k^(k+1) on the summed moments, at the smallest
+    admissible C (admissible_constant).  Both bounds grow with C, so passing
+    here implies passing at any larger C."""
+    constant = admissible_constant(v, phi1)
     table = tree_weight_table(k_max, v, phi1)
     ratios = []
     for k in range(1, k_max + 1):

@@ -180,9 +180,8 @@ def convergence_sweep(
     """Gap-versus-size table along R = ceil(r_scale * N^gamma).
 
     gamma must lie in (0, 1) so that R grows sublinearly in N, and r_scale
-    must be finite and > 0.  trials may be an int or a sequence with one
-    count per entry of n_values.  Every argument is checked before any size
-    is sampled.
+    must be finite and > 0.  trials holds one count per entry of n_values.
+    Every argument is checked before any size is sampled.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("violates sublinear radius growth R = o(N): need 0 < gamma < 1")
@@ -191,9 +190,7 @@ def convergence_sweep(
     n_values = list(n_values)
     if min(n_values, default=1) < 1:
         raise ValueError(f"n must be >= 1, got {min(n_values)}")
-    if isinstance(trials, int):
-        trials = [trials] * len(n_values)
-    elif len(trials) != len(n_values):
+    if len(trials) != len(n_values):
         raise ValueError(f"{len(trials)} trial counts for {len(n_values)} sizes")
     # run_ensemble refuses fewer than two trials; refuse before any size is sampled
     if min(trials, default=2) < 2:

@@ -45,10 +45,6 @@ class ProfileFamily(enum.Enum):
     LORENTZIAN = "lorentz"
 
 
-_FAMILY_ALIASES = {f.value: f for f in ProfileFamily}
-_FAMILY_ALIASES.update({f.name.lower(): f for f in ProfileFamily})
-
-
 @dataclass(frozen=True)
 class Profile:
     """An edge-probability profile a*shape(t) with amplitude a in (0, 1).
@@ -67,8 +63,8 @@ class Profile:
     @classmethod
     def from_name(cls, name: str, amplitude: float) -> "Profile":
         try:
-            family = _FAMILY_ALIASES[name.lower()]
-        except KeyError:
+            family = ProfileFamily(name)
+        except ValueError:
             raise ValueError(f"unknown profile family {name!r}") from None
         return cls(family, amplitude)
 
@@ -182,10 +178,14 @@ def sample_adjacency(
 def build_h(entries, degrees: np.ndarray, v: float, phi1: float) -> csr_matrix:
     """Assemble (v^2/phi1) diag(degrees) - (v/sqrt(phi1)) A as a float64 CSR
     matrix from the 0/1 adjacency A, a dense array or a scipy sparse matrix,
-    in O(N + edges) for a sparse A.  Zero values are not stored.
+    in O(N + edges) for a sparse A.  Zero values are not stored, and a scale
+    that is not finite is refused (v^2 overflows from |v| ~ 1e154).
     """
     if phi1 <= 0.0:
         raise ValueError(f"phi1 must be positive, got {phi1}")
+    diagonal_scale, edge_scale = v * v / phi1, v / math.sqrt(phi1)
+    if not (math.isfinite(diagonal_scale) and math.isfinite(edge_scale)):
+        raise ValueError(f"v = {v:g}: the scale v^2/phi1 of H is not finite (phi1 = {phi1:g})")
     if issparse(entries):
         rows, cols = entries.nonzero()
     else:  # a flat scan of a boolean array is far faster than np.nonzero in 2-D
@@ -197,8 +197,8 @@ def build_h(entries, degrees: np.ndarray, v: float, phi1: float) -> csr_matrix:
     rows = np.concatenate((rows[off], vertices)).astype(np.int64)  # row * size fits
     cols = np.concatenate((cols[off], vertices))
     values = np.concatenate((
-        np.full(np.count_nonzero(off), -v / math.sqrt(phi1)),
-        (v * v / phi1) * np.asarray(degrees, dtype=float),
+        np.full(np.count_nonzero(off), -edge_scale),
+        diagonal_scale * np.asarray(degrees, dtype=float),
     ))
     keep = values != 0.0
     key = rows[keep] * size + cols[keep]

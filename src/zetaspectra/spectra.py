@@ -111,9 +111,10 @@ class SpectralSummary:
 def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
     """Check a symmetric matrix, dense or scipy sparse, and keep it as CSR.
 
-    Rejects matrices that are not symmetric to within 1e-12 entrywise (an
-    entry whose mirror is not stored reads against 0).  Solves nothing: the
-    summary keeps h itself when it is canonical CSR, so do not modify it.
+    Rejects matrices that hold a NaN or are not symmetric to within 1e-12
+    entrywise (an entry whose mirror is not stored reads against 0).  Solves
+    nothing: the summary keeps h itself when it is canonical CSR, so do not
+    modify it.
     """
     h = h.tocsr() if issparse(h) else csr_matrix(np.asarray(h, dtype=float))
     if not (h.has_canonical_format and h.data.all()):
@@ -128,7 +129,7 @@ def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
     keys, mirrors = rows * n + cols, cols * n + rows  # keys ascend in a canonical CSR
     at = np.searchsorted(keys, mirrors).clip(max=keys.shape[0] - 1)
     asym = np.abs(values - np.where(keys[at] == mirrors, values[at], 0.0)).max(initial=0.0)
-    if asym > SYMMETRY_TOL:
+    if not asym <= SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max deviation {asym:.3e})")
     return SpectralSummary(h=h, v=v, phi1=phi1)
 

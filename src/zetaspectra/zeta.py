@@ -125,10 +125,6 @@ class ReciprocalZeta:
             out = out * u + c
         return out
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def as_list(self) -> list[int]:
         return list(self.coefficients)
 

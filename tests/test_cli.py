@@ -42,6 +42,9 @@ UNREAD_FLAGS = {
     # the argv is the whole input: no subcommand reads a config file
     **{f"{command}-config": [command, "--config", "run.cfg"]
        for command in ("sample", "spectrum", "moments", "converge", "logdet", "limits")},
+    # tables are CSV and documents JSON: no subcommand takes a format
+    **{f"{command}-format": [command, "--format", "json"]
+       for command in ("spectrum", "moments", "converge", "logdet")},
 }
 
 
@@ -59,7 +62,7 @@ MODE_UNREAD_FLAGS = [
     (["moments", "--theory", "--n", "5", "--trials", "9", "--seed", "3", "--kmax", "2"], "--n"),
     (["moments", "--theory", "--R", "3"], "--R"),
     (["moments", "--theory", "--threads", "2"], "--threads"),  # no mode reads it: no thread pool
-    (["moments", "--bounds", "--format", "json"], "--format"),
+    (["moments", "--bounds", "--format", "csv"], "--format"),  # no mode reads it: no formats
     (["moments", "--theory", "--bounds"], "--bounds"),
     (["limits", "--what", "fgrid", "--v", "7"], "--v"),
     (["limits", "--what", "stieltjes", "--points", "5"], "--points"),
@@ -110,6 +113,16 @@ BAD_VALUES = [
     (["limits", "--what", "stieltjes", "--v", "1e200"], "v = 1e+200: the transform's discriminant"),
     # v^2 overflows to inf and the bound ratios to nan: the JSON writer refuses them
     (["moments", "--bounds", "--kmax", "4", "--v", "1e200"], "a value JSON cannot carry"),
+    # ... and the CSV writer refuses the theory table's inf and the density's nan
+    (["moments", "--theory", "--v", "1e200", "--kmax", "3"], "a value CSV cannot carry (inf)"),
+    (["limits", "--what", "density", "--v", "1e200", "--points", "3"],
+     "a value CSV cannot carry (nan)"),
+    # every sampled route refuses the overflowed scale of H before it solves
+    (["spectrum", "--n", "2", "--v", "1e200"], "v = 1e+200: the scale v^2/phi1 of H"),
+    (["moments", "--n", "3", "--trials", "2", "--kmax", "2", "--v", "1e200"],
+     "v = 1e+200: the scale v^2/phi1 of H"),
+    (["converge", "--n-sweep", "3", "--trials", "2", "--kmax", "1", "--v", "1e200"],
+     "v = 1e+200: the scale v^2/phi1 of H"),
 ]
 
 
@@ -126,8 +139,7 @@ SUBCOMMANDS = {"sample", "spectrum", "moments", "converge", "logdet", "zeta", "l
 SIDECAR_RUNS = {
     "sample": ["sample", "--n", "20", "--R", "3", "--seed", "5"],
     "spectrum": ["spectrum", "--n", "10", "--R", "2", "--seed", "3", "--hist-bins", "4"],
-    "moments": ["moments", "--n", "10", "--trials", "3", "--kmax", "3", "--seed", "2",
-                "--format", "json"],
+    "moments": ["moments", "--n", "10", "--trials", "3", "--kmax", "3", "--seed", "2"],
     "converge": ["converge", "--n-sweep", "8,12", "--trials", "2", "--kmax", "2", "--seed", "1"],
     "logdet": ["logdet", "--n", "10", "--R", "3", "--v", "0.5", "--trials", "2",
                "--gauss-points", "2", "--seed", "4"],

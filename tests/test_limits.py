@@ -106,14 +106,16 @@ class TestSemicircleMoments:
 
 class TestStieltjesTransform:
     def test_real_point_value(self):
-        # root of g^2 + 3g + 1 selected by the upper-half-plane limit
+        # root of g^2 + 3g + 1 selected by the upper-half-plane limit; off the
+        # support the real part moves only at second order in Im z
         expected = (-3.0 + math.sqrt(5.0)) / 2.0
-        assert stieltjes_transform(4.0, 1.0).real == pytest.approx(expected, rel=1e-12)
+        g = stieltjes_transform(complex(4.0, 1e-9), 1.0)
+        assert g.real == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-0.381966, abs=5e-7)
 
     def test_large_z_decay(self):
         for z in (50.0, 200.0):
-            g = stieltjes_transform(z, 1.0)
+            g = stieltjes_transform(complex(z, 1e-9), 1.0)
             assert g.real == pytest.approx(-1.0 / z, rel=0.1)
 
     @settings(max_examples=100)
@@ -129,8 +131,10 @@ class TestStieltjesTransform:
         assert z.imag * g.imag >= 0.0
 
     def test_on_support_rejected(self):
-        with pytest.raises(ValueError, match="Im z"):
-            stieltjes_transform(1.0, 1.0)
+        # real z is refused on the support and off it alike
+        for z in (1.0, 4.0, complex(-7.0, 0.0)):
+            with pytest.raises(ValueError, match="Im z"):
+                stieltjes_transform(z, 1.0)
         with pytest.raises(ValueError):
             stieltjes_transform(1.0, 0.0)
 
@@ -139,10 +143,10 @@ class TestStieltjesTransform:
         # with |lambda| <= 3, checked in high precision in the validate
         # module because it dips below float64 at z = 10
         mu = dense_moments(40, 1.0)
-        for z in (4.0, 6.0, 10.0):
+        for z in (complex(4.0, 1e-9), complex(6.0, 1e-9), complex(10.0, 1e-9)):
             series = -sum(mu[k] / z ** (k + 1) for k in range(41))
-            bound = (3.0 / z) ** 41 / (z - 3.0)
-            gap = abs(stieltjes_transform(z, 1.0).real - series)
+            bound = (3.0 / abs(z)) ** 41 / (abs(z) - 3.0)
+            gap = abs(stieltjes_transform(z, 1.0) - series)
             assert gap <= max(bound, 64.0 * np.finfo(float).eps)
 
 

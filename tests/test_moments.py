@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -355,31 +356,44 @@ class TestWeightedAdjacencySums:
 
 class TestBounds:
     def test_adjacency_bound_passes(self):
-        report = adjacency_bound_report(8, 1.0, 1.0, 1.0)
-        assert report.passed
+        report = adjacency_bound_report(8, 1.0, 1.0)
+        assert report.passed and report.constant == 1.0
         assert report.tightest_ratio <= 1.0
 
     def test_adjacency_bound_first_order(self):
-        # order 1 reduces to v^2 <= C v^2
-        report = adjacency_bound_report(1, 2.0, 1.3, 1.0)
-        assert report.passed
-
-    def test_inadmissible_constant_rejected(self):
-        with pytest.raises(ValueError, match="inadmissible"):
-            adjacency_bound_report(4, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError, match="inadmissible"):
-            tree_bound_report(4, 0.1, 1.0, 1.0)
+        # order 1 reduces to v^2 <= C v^2, at C = 1/phi1 = 2
+        report = adjacency_bound_report(1, 1.3, 0.5)
+        assert report.passed and report.constant == 2.0
+        assert report.ratios == [pytest.approx(0.5, rel=1e-15)]
 
     def test_tree_bound_passes(self):
-        report = tree_bound_report(8, 3.0, 1.0, 2.0)
+        report = tree_bound_report(8, 1.0, 2.0)
         assert report.passed
 
     def test_bisected_constant_is_admissible_and_tight(self, param_grid):
         for v, phi1 in param_grid:
-            c = admissible_constant(v, phi1)
-            report = tree_bound_report(8, c, v, phi1)
+            report = tree_bound_report(8, v, phi1)
             assert report.passed
-            # nudging the constant below the bisected value must violate
-            # one of the two admissibility inequalities
-            with pytest.raises(ValueError):
-                tree_bound_report(2, c * (1 - 1e-6), v, phi1)
+            c = report.constant
+            assert c == admissible_constant(v, phi1)
+            # the bisected constant satisfies both admissibility
+            # inequalities, and nudging it down violates one of them
+            assert max(moments._tree_bound_inequalities(c, v, phi1)) <= 1.0
+            assert max(moments._tree_bound_inequalities(c * (1 - 1e-6), v, phi1)) > 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=PARAMS, factor=st.floats(1.0, 100.0))
+    def test_ratios_do_not_grow_with_the_constant(self, params, factor):
+        # every bound grows with C, so the smallest admissible C gives the
+        # strictest check: that is why the reports pick C themselves
+        v, phi1 = params
+        for name, report in (
+            ("_adjacency_constant", adjacency_bound_report),
+            ("admissible_constant", tree_bound_report),
+        ):
+            smallest = report(6, v, phi1)
+            real = getattr(moments, name)
+            with mock.patch.object(moments, name, lambda *a: factor * real(*a)):
+                larger = report(6, v, phi1)
+            assert larger.constant == factor * smallest.constant
+            assert all(b <= a for a, b in zip(smallest.ratios, larger.ratios, strict=True))

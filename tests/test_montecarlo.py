@@ -95,11 +95,11 @@ class TestRunEnsemble:
 class TestConvergenceSweep:
     def test_gamma_domain(self, gauss_profile):
         with pytest.raises(ValueError, match="sublinear"):
-            convergence_sweep([10, 20], 1.0, gauss_profile, 1.0, 0, 2)
+            convergence_sweep([10, 20], 1.0, gauss_profile, 1.0, 0, [2, 2])
 
     def test_sweep_shape(self, gauss_profile):
         points = convergence_sweep(
-            [10, 20], 0.5, gauss_profile, 1.0, seed=1, trials=3, k_max=2, r_scale=0.9
+            [10, 20], 0.5, gauss_profile, 1.0, seed=1, trials=[3, 3], k_max=2, r_scale=0.9
         )
         assert [pt.n_vertices for pt in points] == [21, 41]
         for pt in points:
@@ -134,13 +134,15 @@ class TestConvergenceSweep:
     @pytest.mark.parametrize("n_values", [[-3], [8, 0]])
     def test_sizes_checked_before_sampling(self, gauss_profile, draws, n_values):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            convergence_sweep(n_values, 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1)
+            convergence_sweep(
+                n_values, 0.5, gauss_profile, 1.0, seed=1, trials=[2] * len(n_values), k_max=1
+            )
         assert draws == []
 
     @pytest.mark.parametrize("r_scale", [float("nan"), float("inf"), 0.0, -1.0])
     def test_r_scale_checked_before_sampling(self, gauss_profile, draws, r_scale):
         with pytest.raises(ValueError, match="r_scale must be finite and > 0"):
-            convergence_sweep([8, 16], 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1,
+            convergence_sweep([8, 16], 0.5, gauss_profile, 1.0, seed=1, trials=[2, 2], k_max=1,
                               r_scale=r_scale)
         assert draws == []
 
@@ -154,11 +156,11 @@ class TestConvergenceSweep:
             return real(n, radius, profile, seed)
 
         monkeypatch.setattr(montecarlo, "sample_adjacency", recorded)
-        convergence_sweep([8, 16, 32], 0.5, gauss_profile, 1.0, seed=1, trials=4, k_max=1)
+        convergence_sweep([8, 16, 32], 0.5, gauss_profile, 1.0, seed=1, trials=[4, 4, 4], k_max=1)
         assert len(streams) == 12 and len(set(streams)) == 12
 
     def test_radius_rule(self, gauss_profile):
         (pt,) = convergence_sweep(
-            [1000], 0.5, gauss_profile, 1.0, seed=1, trials=2, k_max=1, r_scale=0.9
+            [1000], 0.5, gauss_profile, 1.0, seed=1, trials=[2], k_max=1, r_scale=0.9
         )
         assert pt.radius == np.ceil(0.9 * np.sqrt(2001))

@@ -177,6 +177,14 @@ def test_build_h_trace(gauss_profile):
         build_h(sample.entries, deg, v, 0.0)
 
 
+@pytest.mark.parametrize("v,phi1", [(1e200, 1.0), (-1e160, 0.5), (1.0, 1e-320), (math.nan, 1.0)])
+def test_build_h_refuses_a_scale_that_is_not_finite(v, phi1):
+    # v^2/phi1 overflows (or v is NaN): H would hold inf and nan entries
+    entries = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    with pytest.raises(ValueError, match="the scale v\\^2/phi1 of H is not finite"):
+        build_h(entries, entries.sum(axis=1), v, phi1)
+
+
 def test_build_h_single_edge():
     entries = np.array([[0, 1], [1, 0]], dtype=np.int8)
     h = build_h(entries, entries.sum(axis=1), 1.0, 1.0).toarray()

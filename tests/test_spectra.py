@@ -50,6 +50,15 @@ class TestEigenvalueSummary:
         with pytest.raises(ValueError, match="not symmetric"):
             eigenvalue_summary(csr_matrix(m), v=1.0, phi1=1.0)
 
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_rejects_nan(self, at):
+        # nan > tol is False, so a plain deviation test lets NaN through
+        m = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        m[at] = math.nan
+        for h in (m, csr_matrix(m)):
+            with pytest.raises(ValueError, match="not symmetric"):
+                eigenvalue_summary(h, v=1.0, phi1=1.0)
+
     def test_sparse_duplicates_summed(self):
         # a COO input whose duplicate entries sum to a symmetric matrix
         h = coo_matrix(([0.5, 0.5, 1.0, 2.0], ([0, 0, 1, 1], [1, 1, 0, 1])), shape=(3, 3))
