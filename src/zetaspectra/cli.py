@@ -154,6 +154,8 @@ def _cmd_moments(args) -> int:
     cfg = _resolve_config(args)
     profile = cfg.make_profile()
     if args.bounds:
+        if cfg.k_max < 1:
+            raise ValueError(f"--bounds sweeps orders 1..kmax, so it needs --kmax >= 1, got {cfg.k_max}")
         phi1 = profile.phi1
         payload = {
             "v": cfg.v,

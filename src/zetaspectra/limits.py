@@ -53,7 +53,10 @@ def semicircle_support(v: float) -> tuple[float, float]:
     _check_v(v)
     if v == 0.0:
         raise ValueError("v = 0 degenerates the semicircle to a point mass")
-    return v * v - 2.0 * abs(v), v * v + 2.0 * abs(v)
+    hi = v * v + 2.0 * abs(v)
+    if not math.isfinite(hi):
+        raise ValueError(f"v = {v:g}: the semicircle support's right end v^2 + 2|v| overflows a float")
+    return v * v - 2.0 * abs(v), hi
 
 
 def semicircle_density(lam: float, v: float) -> float:

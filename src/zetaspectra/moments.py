@@ -319,6 +319,11 @@ class BoundReport:
         return asdict(self)
 
 
+def _check_bound_order(name: str, order: int) -> None:
+    if order < 1:
+        raise ValueError(f"{name} must be >= 1 for a bound sweep over orders 1..{name}, got {order}")
+
+
 def _check_bound_v(v: float) -> None:
     if v == 0.0:
         raise ValueError("v = 0 makes every moment bound (C v^2)^k zero")
@@ -333,6 +338,7 @@ def adjacency_bound_report(p_max: int, v: float, phi1: float) -> BoundReport:
     """Check max_r A[p][r] <= (C v^2)^p p^(2p) for p <= p_max at the smallest
     admissible C.  The bound grows with C, so passing here implies passing
     at any larger C."""
+    _check_bound_order("p_max", p_max)
     _check_bound_v(v)
     constant = _adjacency_constant(phi1)
     table = adjacency_weight_table(p_max, v, phi1)
@@ -377,6 +383,7 @@ def tree_bound_report(k_max: int, v: float, phi1: float) -> BoundReport:
     corollary m_k <= (C v^2)^k k^(k+1) on the summed moments, at the smallest
     admissible C (admissible_constant).  Both bounds grow with C, so passing
     here implies passing at any larger C."""
+    _check_bound_order("k_max", k_max)
     constant = admissible_constant(v, phi1)
     table = tree_weight_table(k_max, v, phi1)
     ratios = []

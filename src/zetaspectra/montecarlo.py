@@ -180,7 +180,8 @@ def convergence_sweep(
     """Gap-versus-size table along R = ceil(r_scale * N^gamma).
 
     gamma must lie in (0, 1) so that R grows sublinearly in N, and r_scale
-    must be finite and > 0.  trials holds one count per entry of n_values.
+    must be finite and > 0 and keep R below N at every size.  trials holds
+    one count per entry of n_values.
     Every argument is checked before any size is sampled.
     """
     if not 0.0 < gamma < 1.0:
@@ -195,11 +196,19 @@ def convergence_sweep(
     # run_ensemble refuses fewer than two trials; refuse before any size is sampled
     if min(trials, default=2) < 2:
         raise ValueError(f"trials must be >= 2 for a standard error, got {min(trials)}")
+    scaled = [r_scale * (2 * n + 1) ** gamma for n in n_values]
+    for n, x in zip(n_values, scaled):
+        # R = ceil(x) < N = 2n + 1 exactly when x <= 2n; x may overflow to inf
+        if x > 2 * n:
+            raise ValueError(
+                f"r_scale = {r_scale:g} gives R = ceil(r_scale * N^gamma) >= N = {2 * n + 1}: "
+                "the sweep shows R = o(N), so R must stay below N"
+            )
     theory = limit_moments(k_max, v, profile.phi1)
     points = []
-    for n, n_trials in zip(n_values, trials):
+    for n, n_trials, x in zip(n_values, trials, scaled):
         n_vertices = 2 * n + 1
-        radius = max(1.0, math.ceil(r_scale * n_vertices**gamma))
+        radius = max(1.0, math.ceil(x))
         result = run_ensemble(n, radius, profile, v, seed, n_trials, k_max)
         gaps = tuple(abs(result.moment_mean(k) - theory[k]) for k in range(k_max + 1))
         errs = tuple(result.moment_stderr(k) if k else 0.0 for k in range(k_max + 1))

@@ -18,11 +18,16 @@ l = blue multiplicity / 2 and r = red multiplicity weighs
 v^(2(l+r)) / phi1^(l+r-1), so a walk of total edge order q = sum of l + r
 over its E edges weighs v^(2q) * phi1^(E - q).
 
-walk_profile counts the k-step walks by (root exits, q, E) during the
-search, without building them, and oracle_tree_weight and oracle_moment sum
-the weighted classes.  The per-walk derivation (each listed walk's diagram,
-its tree-type test and its weight) is the reference these counts are
-checked against; it lives in tests/test_walks.py.
+walk_profile counts the k-step walks by (root exits, q, E) without
+building them, and oracle_tree_weight and oracle_moment sum the weighted
+classes.  The count is the same search memoised on its state: the
+skeleton, the anchor and the steps left fix every way to finish the walk,
+so each state's completions are counted once, by (root exits, red steps,
+letters) added, and shared by every branch that reaches the state.
+enumerate_tree_walks lists the walks by the plain search; the per-walk
+derivation in tests/test_walks.py (each listed walk's diagram, its
+tree-type test and its weight) is the reference the counts are checked
+against.
 """
 
 from __future__ import annotations
@@ -65,33 +70,38 @@ class Walk:
         return len(self.letters) - 1
 
 
-def _search_tree_walks(k: int, leaf) -> None:
-    """Depth-first search calling leaf(letters, marks, exits, reds, nverts)
-    on each tree-type closed walk of k steps, in lexicographic order, with
-    its root-exit count, red-step count and number of distinct letters.
-
-    The choices are (target letter, ordinary or generalized).  Branches are
-    pruned when the partial skeleton would acquire a cycle or when the
-    walker can no longer reach the root in the remaining steps (the tree
-    distance to the root equals the number of odd blue multiplicities, so
-    this prune also enforces evenness).
-    """
+def _check_budget(k: int) -> None:
     if not 1 <= k <= MAX_STEPS:
         raise WalkBudgetError(f"k={k} outside enumeration budget 1..{MAX_STEPS}")
 
+
+def enumerate_tree_walks(k: int) -> list[Walk]:
+    """All tree-type closed walks of exactly k steps, lexicographic order.
+
+    A depth-first search over (target letter, ordinary or generalized),
+    building each walk.  Branches are pruned when the partial skeleton would
+    acquire a cycle or when the walker can no longer reach the root in the
+    remaining steps (the tree distance to the root equals the number of odd
+    blue multiplicities, so this prune also enforces evenness).
+
+    The listing is the second code path that the tests check walk_profile's
+    class counts against; nothing in the package reads it.  It stays here
+    only because perfbench/tracing.py binds this name, and ROADMAP item 8
+    moves it into the tests.
+    """
+    _check_budget(k)
+    walks: list[Walk] = []
     letters, marks = [1], [False]
-    # skeleton state: depth per vertex, neighbor lists
     depth = {1: 0}
     neighbors: dict[int, list[int]] = {1: []}
 
-    def descend(anchor: int, nverts: int, remaining: int, exits: int, reds: int) -> None:
+    def descend(anchor: int, nverts: int, remaining: int) -> None:
         if remaining == 0:
             if anchor == 1:
-                leaf(letters, marks, exits, reds, nverts)
+                walks.append(Walk(tuple(letters), tuple(marks)))
             return
         if depth[anchor] > remaining:
             return
-        exits += anchor == 1
         # existing skeleton neighbors first (sorted), then the fresh letter
         targets = sorted(neighbors[anchor]) + [nverts + 1]
         for red in (False, True):
@@ -107,26 +117,51 @@ def _search_tree_walks(k: int, leaf) -> None:
                     continue  # moving away with no way back
                 letters.append(target)
                 marks.append(red)
-                descend(anchor if red else target, nverts + fresh, remaining - 1, exits, reds + red)
+                descend(anchor if red else target, nverts + fresh, remaining - 1)
                 letters.pop()
                 marks.pop()
                 if fresh:
                     neighbors[anchor].pop()
                     del neighbors[target], depth[target]
 
-    descend(1, 1, k, 0, 0)
-
-
-def enumerate_tree_walks(k: int) -> list[Walk]:
-    """All tree-type closed walks of exactly k steps, lexicographic order.
-
-    Only tests and the benchmark tracer read the listing; it stays in the
-    package because perfbench/tracing.py binds this name (ROADMAP item 7
-    frees it).
-    """
-    walks: list[Walk] = []
-    _search_tree_walks(k, lambda letters, marks, *_: walks.append(Walk(tuple(letters), tuple(marks))))
+    descend(1, 1, k)
     return walks
+
+
+def _completions(parents: tuple[int, ...], anchor: int, remaining: int, memo: dict) -> dict:
+    """Count the ways to finish a walk from one search state, by (root exits
+    added, red steps added, letters added), each state once in memo.
+
+    parents[i] is the skeleton parent of letter i + 2.  Steps go to a
+    skeleton neighbor of the anchor or to the fresh letter, which joins the
+    skeleton as the anchor's child, so the skeleton stays a tree.
+    """
+    depth, letter = 0, anchor
+    while letter != 1:
+        letter = parents[letter - 2]
+        depth += 1
+    if depth >= remaining:
+        # at depth == remaining the only completion is the blue walk home
+        return {(0, 0, 0): 1} if depth == remaining else {}
+    key = (parents, anchor, remaining)
+    table = memo.get(key)
+    if table is not None:
+        return table
+    table = Counter()
+    exit_step = anchor == 1
+    fresh = len(parents) + 2
+    targets = [x for x, parent in enumerate(parents, 2) if parent == anchor] + [fresh]
+    if anchor != 1:
+        targets.append(parents[anchor - 2])
+    for red in (False, True):
+        for target in targets:
+            grows = target == fresh
+            skeleton = parents + (anchor,) if grows else parents
+            sub = _completions(skeleton, anchor if red else target, remaining - 1, memo)
+            for (exits, reds, added), count in sub.items():
+                table[(exits + exit_step, reds + red, added + grows)] += count
+    memo[key] = table
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -134,18 +169,18 @@ def walk_profile(k: int):
     """Count the k-step walk stream by (root exits, total edge order q,
     edge count E); the weight of each class is v^(2q) * phi1^(E - q).
 
-    Counted during the search, without building walks: blue multiplicities
-    of tree-type walks are even, so q = (k + red steps) / 2, and the
-    skeleton is a tree, so E = letters - 1.  The table is independent of
+    Counted without building walks: blue multiplicities of tree-type walks
+    are even, so q = (k + red steps) / 2, and the skeleton is a tree, so
+    E = letters - 1.  The search is memoised on its state (skeleton, anchor,
+    steps left): each state's completions are counted once, as a table by
+    (exits, red steps, letters) added, and reused wherever the search meets
+    that state again; k = 8 has 369 states against 31 347 walks.  The memo
+    is dropped when the call returns.  The profile is independent of
     (v, phi1) and cached per k.
     """
-    profile: Counter = Counter()
-
-    def count(letters, marks, exits, reds, nverts):
-        profile[(exits, (k + reds) // 2, nverts - 1)] += 1
-
-    _search_tree_walks(k, count)
-    return dict(profile)
+    _check_budget(k)
+    table = _completions((), 1, k, {})
+    return {(exits, (k + reds) // 2, added): count for (exits, reds, added), count in table.items()}
 
 
 def oracle_tree_weight(k: int, r: int, v: float, phi1: float) -> float:

@@ -113,10 +113,14 @@ BAD_VALUES = [
     (["limits", "--what", "stieltjes", "--v", "1e200"], "v = 1e+200: the transform's discriminant"),
     # v^2 overflows to inf and the bound ratios to nan: the JSON writer refuses them
     (["moments", "--bounds", "--kmax", "4", "--v", "1e200"], "a value JSON cannot carry"),
-    # ... and the CSV writer refuses the theory table's inf and the density's nan
+    # ... and the CSV writer refuses the theory table's inf
     (["moments", "--theory", "--v", "1e200", "--kmax", "3"], "a value CSV cannot carry (inf)"),
+    # the density's support overflows before any grid is laid over it
     (["limits", "--what", "density", "--v", "1e200", "--points", "3"],
-     "a value CSV cannot carry (nan)"),
+     "v = 1e+200: the semicircle support's right end"),
+    (["moments", "--bounds", "--kmax", "0"], "needs --kmax >= 1, got 0"),
+    (["converge", "--n-sweep", "3", "--trials", "2", "--kmax", "1", "--r-scale", "1e300"],
+     "r_scale = 1e+300 gives R = ceil(r_scale * N^gamma) >= N = 7"),
     # every sampled route refuses the overflowed scale of H before it solves
     (["spectrum", "--n", "2", "--v", "1e200"], "v = 1e+200: the scale v^2/phi1 of H"),
     (["moments", "--n", "3", "--trials", "2", "--kmax", "2", "--v", "1e200"],

@@ -370,6 +370,11 @@ class TestBounds:
         report = tree_bound_report(8, 1.0, 2.0)
         assert report.passed
 
+    @pytest.mark.parametrize("name,report", [("p_max", adjacency_bound_report), ("k_max", tree_bound_report)])
+    def test_order_below_one_is_refused_by_name(self, name, report):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1 .* got 0"):
+            report(0, 1.0, 1.0)
+
     def test_bisected_constant_is_admissible_and_tight(self, param_grid):
         for v, phi1 in param_grid:
             report = tree_bound_report(8, v, phi1)

@@ -146,6 +146,14 @@ class TestConvergenceSweep:
                               r_scale=r_scale)
         assert draws == []
 
+    @pytest.mark.parametrize("r_scale", [1e300, 2.3])
+    def test_radius_below_size_checked_before_sampling(self, gauss_profile, draws, r_scale):
+        # N = 7 at n = 3: 2.3 * sqrt(7) = 6.09 rounds up to R = 7 = N
+        with pytest.raises(ValueError, match=r"R = o\(N\), so R must stay below N"):
+            convergence_sweep([8, 3], 0.5, gauss_profile, 1.0, seed=1, trials=[2, 2], k_max=1,
+                              r_scale=r_scale)
+        assert draws == []
+
     def test_sizes_share_no_trial_stream(self, gauss_profile, monkeypatch):
         # one base seed for every size; the trial streams must still differ
         streams = []

@@ -197,10 +197,11 @@ class TestEnumeration:
         assert found == set(enumerate_tree_walks(k))
 
     def test_budget_errors(self):
-        with pytest.raises(WalkBudgetError):
-            enumerate_tree_walks(0)
-        with pytest.raises(WalkBudgetError):
-            enumerate_tree_walks(9)
+        for search in (enumerate_tree_walks, walk_profile):
+            with pytest.raises(WalkBudgetError):
+                search(0)
+            with pytest.raises(WalkBudgetError):
+                search(9)
 
 
 class TestDiagrams:
@@ -295,9 +296,10 @@ class TestOracle:
         assert first == second
         assert sum(first.values()) == WALK_COUNTS[4]
 
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_profile_matches_the_listed_walks(self, k):
-        # the classes read off each walk's diagram, one walk at a time
+        # the classes read off each walk's diagram, one walk at a time,
+        # against the memoised count, which builds no walk
         listed = Counter()
         for walk in enumerate_tree_walks(k):
             diagram = diagram_of_walk(walk)
