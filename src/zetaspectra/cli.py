@@ -141,6 +141,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
+    if args.hist_bins < 0:
+        raise ValueError(f"--hist-bins must be >= 0 (0 writes no histogram), got {args.hist_bins}")
     _, summary = sample_spectrum(cfg.n, cfg.radius, cfg.make_profile(), cfg.v, cfg.seed)
     _emit(_csv(enumerate(summary.eigenvalues), ["index", "lambda"]), cfg.out, args)
     if args.hist_bins:
@@ -218,19 +220,7 @@ def _cmd_logdet(args) -> int:
         raise ValueError("the log-det mean needs --trials >= 2")
     profile = cfg.make_profile()
     v, phi1 = cfg.v, profile.phi1
-    if v * v >= phi1:
-        # H has the eigenvalue 0 at any isolated vertex, so a shift
-        # 1 - v^2/phi1 <= 0 puts the sampled log-det at a crossing
-        raise ValueError(f"--v {v:g} needs v^2 < phi1 = {phi1:.6g} for a positive shift")
-    # the limit measure is known through its moments: integrate
-    # log(shift + lambda) against the Gauss rule they determine
-    try:
-        nodes, weights = limits.gauss_rule_from_moments(
-            moments.limit_moments(2 * args.gauss_points, v, phi1)
-        )
-    except ValueError as exc:
-        raise ValueError(f"--gauss-points {args.gauss_points}: {exc}") from None
-    integral = float(np.sum(weights * np.log(1.0 - v * v / phi1 + nodes)))
+    limit = limits.log_det_limit(v, phi1)
     values = np.array([
         spectra.log_det_density(
             sample_spectrum(cfg.n, cfg.radius, profile, v, trial_seed(cfg.seed, cfg.n, t))[1]
@@ -239,10 +229,9 @@ def _cmd_logdet(args) -> int:
     ])
     mean = values.mean()
     stderr = values.std(ddof=1) / np.sqrt(cfg.trials)
-    row = (2 * cfg.n + 1, cfg.radius, v, phi1, cfg.trials, mean, stderr,
-           args.gauss_points, integral, mean - integral)
+    row = (2 * cfg.n + 1, cfg.radius, v, phi1, cfg.trials, mean, stderr, limit, mean - limit)
     header = ["N", "R", "v", "phi1", "trials", "logdet_mean", "logdet_stderr",
-              "gauss_points", "limit_integral", "gap"]
+              "limit_integral", "gap"]
     _emit(_csv([row], header), cfg.out, args)
     return 0
 
@@ -360,10 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.5, help="R = ceil(r_scale * N^gamma)")
     p.add_argument("--r-scale", type=float, default=1.0)
 
-    p = command("logdet", _cmd_logdet, "trial-mean log-det density against its limit integral",
-                "--n --R --profile --a --v --seed --trials --out")
-    p.add_argument("--gauss-points", type=int, default=8,
-                   help="nodes of the moment-built Gauss rule for the limit integral")
+    command("logdet", _cmd_logdet, "trial-mean log-det density against its closed-form limit",
+            "--n --R --profile --a --v --seed --trials --out")
 
     p = command("zeta", _cmd_zeta, "exact reciprocal zeta polynomial of a small graph", "--out")
     p.add_argument("--graph", required=True, help="P5, C3, K4, random:n,p,seed or file:PATH")

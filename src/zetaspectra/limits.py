@@ -1,5 +1,5 @@
 """Closed-form limit objects: the shifted semicircle law, its Stieltjes
-transform, and the limiting log-zeta integrals.
+transform, the limiting log-zeta integrals and the limit log-det.
 
 In the dense-degree limit the spectral measure is a Wigner semicircle of
 radius 2|v| centered at v^2.  The limiting normalized log of the zeta
@@ -15,6 +15,9 @@ the integral with a fixed Gauss-Chebyshev rule and serves as its numerical
 oracle.  The same rule gives `semicircle_moment`, the oracle for the
 dense-degree moment recurrence.  The rule shares no code with either route
 it checks, and it needs no quadrature library.
+
+`log_det_limit` is the limit log-det density in closed form (Ihara-Bass);
+the Gauss rule of the limit moments is its test oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "stieltjes_transform",
     "log_zeta_limit",
     "semicircle_log_integral",
+    "log_det_limit",
     "gauss_rule_from_moments",
 ]
 
@@ -132,12 +136,32 @@ def semicircle_log_integral(v: float) -> float:
     return float(np.dot(weights, np.log1p(nodes)))
 
 
+def log_det_limit(v: float, phi1: float) -> float:
+    """The limit of (1/N) log det((1 - v^2/phi1) I + H): (1 - phi1/2) log(1 - v^2/phi1).
+
+    With u = v/sqrt(phi1), Ihara-Bass gives on every graph with E edges
+    (1/N) log det((1 - u^2) I + H) = ((N - E)/N) log(1 - u^2) + (1/N) log zeta^-1(u).
+    E/N tends to phi1/2, and the zeta term vanishes in the limit for |v| < 1.
+    """
+    _check_v(v)
+    if v * v >= phi1:
+        # H has the eigenvalue 0 at any isolated vertex, so a shift
+        # 1 - v^2/phi1 <= 0 puts the sampled log-det at a crossing
+        raise ValueError(f"v = {v:g} needs v^2 < phi1 = {phi1:.6g} for a positive shift")
+    if abs(v) >= 1.0:
+        raise ValueError(f"v = {v:g}: the limit log-det needs |v| < 1, where the zeta term vanishes")
+    # + 0.0 writes a vanished limit as 0, not -0
+    return (1.0 - phi1 / 2.0) * math.log1p(-v * v / phi1) + 0.0
+
+
 def gauss_rule_from_moments(moments) -> tuple[np.ndarray, np.ndarray]:
     """Gauss quadrature nodes and weights for a measure given by moments.
 
     moments must hold orders 0..2Q (an odd count); the rule has Q points
     and integrates polynomials up to degree 2Q-1 exactly.  Classic
-    Hankel-Cholesky route to the Jacobi matrix.
+    Hankel-Cholesky route to the Jacobi matrix.  No command reads it.  Fed
+    `limit_moments`, it converges to `log_det_limit` and is its test oracle;
+    it stays here while the benchmark's `logdet_giant` workload calls it.
     """
     moments = np.asarray(moments, dtype=float)
     if moments.size < 3 or moments.size % 2 == 0:

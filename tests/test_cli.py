@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaspectra import cli, moments, validate, zeta
+from zetaspectra import cli, limits, moments, validate, zeta
 from zetaspectra.cli import ExperimentConfig, main
 from zetaspectra.montecarlo import STREAM, sample_spectrum, trial_seed
 from zetaspectra.percolation import Profile
@@ -39,6 +40,8 @@ UNREAD_FLAGS = {
     "sample": ["sample", "--v", "1"],
     "spectrum": ["spectrum", "--kmax", "3"],
     "spectrum-plot-script": ["spectrum", "--n", "5", "--plot-script", "plot.py"],
+    # the limit log-det is in closed form: no quadrature to size
+    "logdet-gauss-points": ["logdet", "--gauss-points", "8"],
     # the argv is the whole input: no subcommand reads a config file
     **{f"{command}-config": [command, "--config", "run.cfg"]
        for command in ("sample", "spectrum", "moments", "converge", "logdet", "limits")},
@@ -92,7 +95,10 @@ BAD_VALUES = [
     (["zeta", "--graph", ""], "cannot parse graph spec"),
     (["zeta", "--graph", "random:3,0,1"], "no connected graph on 3 vertices"),
     (["zeta", "--graph", "random:10,0.01,1"], "no connected graph found in 1000 tries"),
-    (["logdet"], "--v 1 "),
+    # the default --v 1 on gauss a=0.5 has no positive shift
+    (["logdet"], "v = 1 needs v^2 < phi1"),
+    (["logdet", "--profile", "exp", "--a", "0.9", "--v", "1.2"], "|v| < 1"),
+    (["spectrum", "--hist-bins", "-1"], "--hist-bins must be >= 0"),
     (["limits", "--what", "density", "--v", "nan"], "v must be finite"),
     (["moments", "--theory", "--v", "nan"], "v must be finite"),
     (["moments", "--v", "inf"], "v must be finite"),
@@ -145,8 +151,7 @@ SIDECAR_RUNS = {
     "spectrum": ["spectrum", "--n", "10", "--R", "2", "--seed", "3", "--hist-bins", "4"],
     "moments": ["moments", "--n", "10", "--trials", "3", "--kmax", "3", "--seed", "2"],
     "converge": ["converge", "--n-sweep", "8,12", "--trials", "2", "--kmax", "2", "--seed", "1"],
-    "logdet": ["logdet", "--n", "10", "--R", "3", "--v", "0.5", "--trials", "2",
-               "--gauss-points", "2", "--seed", "4"],
+    "logdet": ["logdet", "--n", "10", "--R", "3", "--v", "0.5", "--trials", "2", "--seed", "4"],
     "zeta": ["zeta", "--graph", "random:6,0.5,3", "--u", "0.2", "--check-order", "6"],
     "limits": ["limits", "--what", "stieltjes", "--v", "0.8"],
     "validate": ["validate"],
@@ -179,6 +184,21 @@ def test_readme_commands_parse():
     for argv in commands:
         cli._parse_args(argv)
     assert {argv[0] for argv in commands} == SUBCOMMANDS
+    # the README's flags table lists each subcommand's options, no more, no fewer
+    rows = text.split("| subcommand | flags |")[1].split("\n\n")[0].splitlines()[2:]
+    table = {
+        cells[1].strip("` "): set(cells[2].strip("` ").split())
+        for cells in (row.split("|") for row in rows)
+    }
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.items()
+    }
+    assert table == parsed
 
 
 class TestParserReuse:
@@ -240,6 +260,14 @@ class TestSample:
 
 
 class TestSpectrum:
+    def test_negative_bins_write_nothing(self, tmp_path, monkeypatch, capsys):
+        # refused before the spectrum is sampled: no table, histogram or sidecar
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--n", "5", "--hist-bins", "-1"]) == 2
+        assert main(["spectrum", "--n", "5", "--hist-bins", "-1", "--out", "spec.csv"]) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_and_histogram(self, tmp_path):
         out = tmp_path / "spec.csv"
         args = [
@@ -356,15 +384,14 @@ class TestLogdet:
         out = tmp_path / "logdet.csv"
         args = [
             "logdet", "--n", "20", "--R", "3", "--v", "0.5", "--trials", "3",
-            "--gauss-points", "2", "--seed", "4", "--out", str(out),
+            "--seed", "4", "--out", str(out),
         ]
         assert main(args) == 0
         header, line = out.read_text().strip().splitlines()
-        assert header == (
-            "N,R,v,phi1,trials,logdet_mean,logdet_stderr,gauss_points,limit_integral,gap"
-        )
+        assert header == "N,R,v,phi1,trials,logdet_mean,logdet_stderr,limit_integral,gap"
         row = dict(zip(header.split(","), map(float, line.split(","))))
-        assert (row["N"], row["trials"], row["gauss_points"]) == (41, 3, 2)
+        assert (row["N"], row["trials"]) == (41, 3)
+        assert row["limit_integral"] == pytest.approx(limits.log_det_limit(0.5, row["phi1"]), rel=1e-14)
         assert row["gap"] == pytest.approx(row["logdet_mean"] - row["limit_integral"], abs=1e-14)
         assert row["logdet_stderr"] > 0
         # trial t samples trial_seed(seed, n, t), as in `moments`
@@ -381,12 +408,14 @@ class TestLogdet:
         assert main(["logdet", "--n", "10", "--trials", "1"]) == 2
         assert "--trials" in capsys.readouterr().err
 
-    def test_ill_conditioned_rule_names_flag(self, capsys):
-        # the float Hankel Cholesky of the 24-point rule fails at v = 0.9
-        assert main(["logdet", "--v", "0.9", "--n", "5", "--gauss-points", "24"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("zetaspectra logdet: error: --gauss-points 24: ")
-        assert "24-point" in err and "condition number" in err
+    @pytest.mark.parametrize("v", ["0", "1e-200"])
+    def test_point_mass_limit(self, v, capsys):
+        # at v = 0, and at a v whose square underflows, the limit measure is
+        # a point mass at 0: mean, stderr, limit and gap all read 0 (not -0)
+        assert main(["logdet", "--n", "3", "--v", v, "--trials", "2"]) == 0
+        header, line = capsys.readouterr().out.strip().splitlines()
+        assert header.endswith("logdet_mean,logdet_stderr,limit_integral,gap")
+        assert line.endswith(",0,0,0,0")
 
 
 class TestZeta:

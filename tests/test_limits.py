@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from zetaspectra.moments import dense_moments
+from zetaspectra.moments import dense_moments, limit_moments
+from zetaspectra.percolation import Profile
+from zetaspectra.validate import VALIDATION_GRID
 from zetaspectra.limits import (
     gauss_rule_from_moments,
+    log_det_limit,
     log_zeta_limit,
     semicircle_density,
     semicircle_log_integral,
@@ -276,3 +280,48 @@ class TestGaussFromMoments:
     def test_needs_odd_moment_count(self):
         with pytest.raises(ValueError):
             gauss_rule_from_moments([1.0, 0.5])
+
+    def test_ill_conditioned_hankel_refused(self):
+        # the float Hankel Cholesky of the 24-point rule fails at v = 0.9 on gauss a=0.5
+        phi1 = Profile.from_name("gauss", 0.5).phi1
+        refusal = r"24-point .* not positive definite .*condition number \d\.\d+e\+\d\d"
+        with pytest.raises(ValueError, match=refusal):
+            gauss_rule_from_moments(limit_moments(48, 0.9, phi1))
+
+
+# every VALIDATION_GRID point with v <= 0.5 and v^2 < phi1, and v = 0.3 at the same phi1
+_GRID_POINTS = [(v, phi1) for v, phi1 in VALIDATION_GRID if v <= 0.5 and v * v < phi1]
+ORACLE_POINTS = _GRID_POINTS + [(0.3, phi1) for _, phi1 in _GRID_POINTS]
+
+
+class TestLogDetLimit:
+    def test_hand_value(self):
+        # phi1 = 1, v = 1/2: (1 - 1/2) log(1 - 1/4)
+        assert log_det_limit(0.5, 1.0) == pytest.approx(0.5 * math.log(0.75), rel=1e-15)
+        assert log_det_limit(-0.5, 1.0) == log_det_limit(0.5, 1.0)
+        assert log_det_limit(0.7, 2.0) == 0.0  # (N - E)/N -> 0: the Euler term vanishes
+
+    @pytest.mark.parametrize("v,phi1,reason", [
+        (1.0, 0.886, "v = 1 needs v^2 < phi1"),
+        (0.5, 0.25, "needs v^2 < phi1"),
+        (1.2, 1.8, "|v| < 1"),
+        (-1.0, 4.0, "|v| < 1"),
+        (math.nan, 1.0, "finite"),
+        (math.inf, 1.0, "finite"),
+    ])
+    def test_refusals(self, v, phi1, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            log_det_limit(v, phi1)
+
+    @pytest.mark.parametrize("v,phi1", ORACLE_POINTS)
+    def test_gauss_rule_converges_to_it(self, v, phi1):
+        # the Q-point rule of the exact limit moments integrates
+        # log(1 - v^2/phi1 + lambda); measured worst gap at Q = 16: 6.5e-6
+        # at phi1 = 0.5, v = 0.5
+        shift, exact = 1.0 - v * v / phi1, log_det_limit(v, phi1)
+        gaps = []
+        for q in (4, 8, 12, 16):
+            nodes, weights = gauss_rule_from_moments(limit_moments(2 * q, v, phi1))
+            gaps.append(abs(float(np.sum(weights * np.log(shift + nodes))) - exact))
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-5
