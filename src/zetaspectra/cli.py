@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -23,7 +22,7 @@ from .montecarlo import (
 )
 from .validate import run_validation
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main"]
 
 
 def _fmt(x) -> str:
@@ -35,34 +34,6 @@ def _fmt(x) -> str:
     if not math.isfinite(value):
         raise ValueError(f"the output holds a value CSV cannot carry ({value})")
     return f"{value:.15g}"
-
-
-@dataclasses.dataclass
-class ExperimentConfig:
-    """The experiment flags, checked; a flag a subcommand lacks keeps its default."""
-
-    n: int = 50
-    radius: float = 4.0
-    profile: str = "gauss"
-    amplitude: float = 0.5
-    v: float = 1.0
-    seed: int = 0
-    trials: int = 2
-    k_max: int = 4
-    out: str = ""
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 1.0 <= self.radius < math.inf:
-            raise ValueError(f"--R must be finite and >= 1, got {self.radius}")
-        if not math.isfinite(self.v):
-            raise ValueError(f"v must be finite, got {self.v}")
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-
-    def make_profile(self) -> percolation.Profile:
-        return percolation.Profile.from_name(self.profile, self.amplitude)
 
 
 def _json(payload, indent=None) -> str:
@@ -100,17 +71,18 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Experiment flags; each subcommand takes only the ones its handler reads.
+# Experiment flags and their defaults; each subcommand takes only the ones its
+# handler reads.
 _FLAGS = {
-    "--n": dict(type=int, default=None, help="half-width; N = 2n+1 vertices"),
-    "--R": dict(dest="radius", type=float, default=None, help="interaction radius >= 1"),
-    "--profile": dict(choices=["exp", "gauss", "lorentz"], default=None),
-    "--a": dict(dest="amplitude", type=float, default=None, help="profile amplitude in (0,1)"),
-    "--v": dict(type=float, default=None, help="spectral parameter"),
-    "--seed": dict(type=int, default=None, help="base seed"),
-    "--trials": dict(type=int, default=None),
-    "--kmax": dict(dest="k_max", type=int, default=None),
-    "--out": dict(default=None, help="output path (stdout if omitted)"),
+    "--n": dict(type=int, default=50, help="half-width; N = 2n+1 vertices"),
+    "--R": dict(dest="radius", type=float, default=4.0, help="interaction radius >= 1"),
+    "--profile": dict(choices=["exp", "gauss", "lorentz"], default="gauss", help="profile family"),
+    "--a": dict(dest="amplitude", type=float, default=0.5, help="profile amplitude in (0,1)"),
+    "--v": dict(type=float, default=1.0, help="spectral parameter"),
+    "--seed": dict(type=int, default=0, help="base seed"),
+    "--trials": dict(type=int, default=2, help="number of trials, >= 2"),
+    "--kmax": dict(dest="k_max", type=int, default=4, help="highest moment order"),
+    "--out": dict(default="", help="output path; stdout if empty"),
 }
 
 
@@ -123,116 +95,102 @@ def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
         parser.add_argument(flag, **_FLAGS[flag])
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiment flags the subcommand was given, over the defaults."""
-    names = [field.name for field in dataclasses.fields(ExperimentConfig)]
-    return ExperimentConfig(**{
-        name: getattr(args, name) for name in names if getattr(args, name, None) is not None
-    })
-
-
 def _cmd_sample(args) -> int:
-    cfg = _resolve_config(args)
-    sample = percolation.sample_adjacency(cfg.n, cfg.radius, cfg.make_profile(), cfg.seed)
-    _emit(percolation.format_edge_list(sample), cfg.out, args)
+    profile = percolation.Profile.from_name(args.profile, args.amplitude)
+    sample = percolation.sample_adjacency(args.n, args.radius, profile, args.seed)
+    _emit(percolation.format_edge_list(sample), args.out, args)
     print(f"edges={sample.edge_count()} mean_degree={_fmt(sample.mean_degree())}", file=sys.stderr)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _resolve_config(args)
     if args.hist_bins < 0:
         raise ValueError(f"--hist-bins must be >= 0 (0 writes no histogram), got {args.hist_bins}")
-    _, summary = sample_spectrum(cfg.n, cfg.radius, cfg.make_profile(), cfg.v, cfg.seed)
-    _emit(_csv(enumerate(summary.eigenvalues), ["index", "lambda"]), cfg.out, args)
+    profile = percolation.Profile.from_name(args.profile, args.amplitude)
+    _, summary = sample_spectrum(args.n, args.radius, profile, args.v, args.seed)
+    _emit(_csv(enumerate(summary.eigenvalues), ["index", "lambda"]), args.out, args)
     if args.hist_bins:
         left, right, dens = spectra.histogram_density(summary, bins=args.hist_bins)
         hist_text = _csv(zip(left, right, dens), ["bin_left", "bin_right", "density"])
-        _emit(hist_text, (cfg.out or "spectrum") + ".hist.csv", args)
+        _emit(hist_text, (args.out or "spectrum") + ".hist.csv", args)
     return 0
 
 
 def _cmd_moments(args) -> int:
-    cfg = _resolve_config(args)
-    profile = cfg.make_profile()
+    profile = percolation.Profile.from_name(args.profile, args.amplitude)
+    v, phi1, k_max = args.v, profile.phi1, args.k_max
     if args.bounds:
-        if cfg.k_max < 1:
-            raise ValueError(f"--bounds sweeps orders 1..kmax, so it needs --kmax >= 1, got {cfg.k_max}")
-        phi1 = profile.phi1
+        # the tree report first: its order check names k_max
+        tree = moments.tree_bound_report(k_max, v, phi1).as_dict()
         payload = {
-            "v": cfg.v,
+            "v": v,
             "phi1": phi1,
-            "adjacency": moments.adjacency_bound_report(cfg.k_max, cfg.v, phi1).as_dict(),
-            "tree": moments.tree_bound_report(cfg.k_max, cfg.v, phi1).as_dict(),
+            "adjacency": moments.adjacency_bound_report(k_max, v, phi1).as_dict(),
+            "tree": tree,
         }
-        _emit(_json(payload, indent=1), cfg.out, args)
+        _emit(_json(payload, indent=1), args.out, args)
         return 0
     if args.theory:
         rows = zip(
-            range(cfg.k_max + 1),
-            moments.limit_moments(cfg.k_max, cfg.v, profile.phi1),
-            moments.adjacency_moments(cfg.k_max, cfg.v, profile.phi1),
-            moments.dense_moments(cfg.k_max, cfg.v),
+            range(k_max + 1),
+            moments.limit_moments(k_max, v, phi1),
+            moments.adjacency_moments(k_max, v, phi1),
+            moments.dense_moments(k_max, v),
         )
-        _emit(_csv(rows, ["k", "m_k", "ell_k", "mu_k"]), cfg.out, args)
+        _emit(_csv(rows, ["k", "m_k", "ell_k", "mu_k"]), args.out, args)
         return 0
-    result = run_ensemble(cfg.n, cfg.radius, profile, cfg.v, cfg.seed, cfg.trials, cfg.k_max)
+    result = run_ensemble(args.n, args.radius, profile, v, args.seed, args.trials, k_max)
     rows = [
         (r.k, r.mean, r.stderr, r.theory, r.abs_diff, r.z_score)
         for r in moment_comparison(result)
     ]
     header = ["k", "mean", "stderr", "theory_m_k", "abs_diff", "z_score"]
-    _emit(_csv(rows, header), cfg.out, args)
+    _emit(_csv(rows, header), args.out, args)
     return 0
 
 
 def _cmd_converge(args) -> int:
-    cfg = _resolve_config(args)
-    trials = args.trial_counts or [cfg.trials]
+    trials = args.trials
     if len(trials) == 1:
         trials = trials * len(args.n_sweep)
-    if len(trials) != len(args.n_sweep):
-        raise ValueError("--trials needs one count, or one per --n-sweep entry")
-    if not 0.0 < args.r_scale < math.inf:
-        raise ValueError(f"--r-scale must be finite and > 0, got {args.r_scale}")
     points = convergence_sweep(
         args.n_sweep,
         args.gamma,
-        cfg.make_profile(),
-        cfg.v,
-        cfg.seed,
+        percolation.Profile.from_name(args.profile, args.amplitude),
+        args.v,
+        args.seed,
         trials,
-        k_max=cfg.k_max,
+        k_max=args.k_max,
         r_scale=args.r_scale,
     )
     rows = []
     for pt in points:
-        for k in range(0, cfg.k_max + 1):
+        for k in range(0, args.k_max + 1):
             rows.append((pt.n_vertices, pt.radius, pt.trials, k, pt.gaps[k], pt.stderrs[k]))
     header = ["N", "R", "trials", "k", "abs_gap", "stderr"]
-    _emit(_csv(rows, header), cfg.out, args)
+    _emit(_csv(rows, header), args.out, args)
     return 0
 
 
 def _cmd_logdet(args) -> int:
-    cfg = _resolve_config(args)
-    if cfg.trials < 2:
+    n, trials = args.n, args.trials
+    if trials < 2:
         raise ValueError("the log-det mean needs --trials >= 2")
-    profile = cfg.make_profile()
-    v, phi1 = cfg.v, profile.phi1
+    profile = percolation.Profile.from_name(args.profile, args.amplitude)
+    v, phi1 = args.v, profile.phi1
     limit = limits.log_det_limit(v, phi1)
     values = np.array([
         spectra.log_det_density(
-            sample_spectrum(cfg.n, cfg.radius, profile, v, trial_seed(cfg.seed, cfg.n, t))[1]
+            sample_spectrum(n, args.radius, profile, v, trial_seed(args.seed, n, t))[1]
         )
-        for t in range(cfg.trials)
+        for t in range(trials)
     ])
     mean = values.mean()
-    stderr = values.std(ddof=1) / np.sqrt(cfg.trials)
-    row = (2 * cfg.n + 1, cfg.radius, v, phi1, cfg.trials, mean, stderr, limit, mean - limit)
+    stderr = values.std(ddof=1) / np.sqrt(trials)
+    row = (2 * n + 1, args.radius, v, phi1, trials, mean, stderr, limit, mean - limit)
     header = ["N", "R", "v", "phi1", "trials", "logdet_mean", "logdet_stderr",
               "limit_integral", "gap"]
-    _emit(_csv([row], header), cfg.out, args)
+    _emit(_csv([row], header), args.out, args)
     return 0
 
 
@@ -278,24 +236,23 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    cfg = _resolve_config(args)
     if args.what == "fgrid":
         grid = np.linspace(args.v_min, args.v_max, args.v_count)
         rows = [(v, limits.log_zeta_limit(float(v))) for v in grid]
         text = _csv(rows, ["v", "F"])
     elif args.what == "density":
-        lo, hi = limits.semicircle_support(cfg.v)
+        lo, hi = limits.semicircle_support(args.v)
         grid = np.linspace(lo, hi, args.points)
-        rows = [(x, limits.semicircle_density(float(x), cfg.v)) for x in grid]
+        rows = [(x, limits.semicircle_density(float(x), args.v)) for x in grid]
         text = _csv(rows, ["lambda", "density"])
     else:
         rows = []
         for z_im in (0.5, 1.0, 2.0):
             for z_re in np.linspace(-4.0, 4.0, 17):
-                g = limits.stieltjes_transform(complex(z_re, z_im), cfg.v)
+                g = limits.stieltjes_transform(complex(z_re, z_im), args.v)
                 rows.append((z_re, z_im, g.real, g.imag))
         text = _json([dict(zip(["z_re", "z_im", "g_re", "g_im"], row)) for row in rows])
-    _emit(text, cfg.out, args)
+    _emit(text, args.out, args)
     return 0
 
 
@@ -322,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary, flags) -> argparse.ArgumentParser:
         # allow_abbrev=False: a flag the subcommand lacks must not resolve to
         # a longer one it has (`converge --n` is not `--n-sweep`)
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         _add_flags(p, flags)
         p.set_defaults(func=func)
         return p
@@ -332,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", _cmd_spectrum, "eigenvalues of one sampled matrix",
                 "--n --R --profile --a --v --seed --out")
-    p.add_argument("--hist-bins", type=int, default=0)
+    p.add_argument("--hist-bins", type=int, default=0, help="histogram bins (0: no histogram)")
 
     p = command("moments", _cmd_moments, "empirical vs limiting moments",
                 "--n --R --profile --a --v --seed --trials --kmax --out")
@@ -344,25 +302,28 @@ def build_parser() -> argparse.ArgumentParser:
                 "--profile --a --v --seed --kmax --out")
     p.add_argument("--n-sweep", type=_int_list, default="250,500,1000",
                    help="comma-separated n values")
-    p.add_argument("--trials", dest="trial_counts", type=_int_list, default=None,
+    # a string default: argparse converts it on each parse, so no call shares a list
+    p.add_argument("--trials", type=_int_list, default="2",
                    help="trials per size: one count, or one per --n-sweep entry")
     p.add_argument("--gamma", type=float, default=0.5, help="R = ceil(r_scale * N^gamma)")
-    p.add_argument("--r-scale", type=float, default=1.0)
+    p.add_argument("--r-scale", type=float, default=1.0, help="radius prefactor r_scale > 0")
 
     command("logdet", _cmd_logdet, "trial-mean log-det density against its closed-form limit",
             "--n --R --profile --a --v --seed --trials --out")
 
     p = command("zeta", _cmd_zeta, "exact reciprocal zeta polynomial of a small graph", "--out")
     p.add_argument("--graph", required=True, help="P5, C3, K4, random:n,p,seed or file:PATH")
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--check-order", type=int, default=0)
+    p.add_argument("--u", type=float, default=None, help="point at which to evaluate the polynomial")
+    p.add_argument("--check-order", type=int, default=0,
+                   help="check the path-count series up to this order (0: no check)")
 
     p = command("limits", _cmd_limits, "limit-law tables for plotting", "--v --out")
-    p.add_argument("--what", choices=["fgrid", "density", "stieltjes"], default="fgrid")
-    p.add_argument("--v-min", type=float, default=-2.0)
-    p.add_argument("--v-max", type=float, default=2.0)
-    p.add_argument("--v-count", type=int, default=41)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--what", choices=["fgrid", "density", "stieltjes"], default="fgrid",
+                   help="table to write")
+    p.add_argument("--v-min", type=float, default=-2.0, help="left end of the fgrid v grid")
+    p.add_argument("--v-max", type=float, default=2.0, help="right end of the fgrid v grid")
+    p.add_argument("--v-count", type=int, default=41, help="points on the fgrid v grid")
+    p.add_argument("--points", type=int, default=101, help="points on the density grid")
 
     command("validate", _cmd_validate, "run the cross-module validation suite", "--out")
     return parser
@@ -392,13 +353,14 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a value it refuses exits 2 with the reason on stderr."""
+    """Run one subcommand; a value it refuses, or a file it cannot read or
+    write, exits 2 with the reason on stderr."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     args.argv = argv
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"zetaspectra {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -65,9 +65,12 @@ def is_connected(adj: np.ndarray) -> bool:
 def random_connected_graph(n: int, edge_prob: float, seed: int) -> np.ndarray:
     """Rejection-sample a simple connected graph with iid edges.
 
-    Refuses edge_prob <= 0 on two or more vertices, where no draw can be
-    connected, and raises ValueError when MAX_TRIES draws all fail.
+    Refuses an edge_prob outside [0, 1], and edge_prob = 0 on two or more
+    vertices, where no draw can be connected; raises ValueError when
+    MAX_TRIES draws all fail.
     """
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
     if n >= 2 and edge_prob <= 0.0:
         raise ValueError(f"no connected graph on {n} vertices with edge probability {edge_prob}")
     rng = np.random.default_rng(seed)

@@ -98,6 +98,7 @@ def stieltjes_transform(z: complex, v: float) -> complex:
 
     Real z is refused: evaluate at Im z != 0.
     """
+    _check_v(v)
     if v == 0.0:
         raise ValueError("v = 0 degenerates the transform")
     z = complex(z)

@@ -81,7 +81,9 @@ def _binomial_rows(k_max: int) -> dict[int, dict[int, int]]:
 
 
 def _edge_scales(k_max: int, v: float, phi1: float) -> list[float]:
-    """scales[e] = v^(2e)/phi1^(e-1) for 0 <= e <= k_max."""
+    """scales[e] = v^(2e)/phi1^(e-1) for 0 <= e <= k_max; a non-finite v is refused."""
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
     v2 = v * v
     try:
         return [v2**e / phi1 ** (e - 1) for e in range(k_max + 1)]
@@ -97,7 +99,7 @@ def _compose(k_max: int, binom, first_edge, exit_scales) -> list[list[float]]:
     _binomial_rows(k_max - 1) at least.  Each F(k, g) = first_edge(table, k, g)
     reads rows below k only and is computed once, at the start of row k."""
     if k_max < 0:
-        raise ValueError(f"order must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     table = [[0.0] * (k + 1) for k in range(k_max + 1)]
     table[0][0] = 1.0
     firsts = [[]]

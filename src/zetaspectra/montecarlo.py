@@ -118,6 +118,8 @@ def run_ensemble(
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     moments = np.empty((trials, k_max + 1))
     prefactors = np.empty(trials)
     for t in range(trials):

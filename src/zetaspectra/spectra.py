@@ -198,7 +198,7 @@ def log_det_density(summary: SpectralSummary) -> float:
 
 def log_prefactor_density(degrees: np.ndarray, u: float) -> float:
     """((r - 1)/N) log(1 - u^2), the prefactor term of -(1/N) log Z."""
-    if abs(u) >= 1.0:
+    if not abs(u) < 1.0:  # NaN fails this test too
         raise ValueError(f"need |u| < 1, got u={u}")
     return circuit_rank_term(degrees) / len(degrees) * math.log1p(-u * u)
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from zetaspectra import cli, limits, moments, validate, zeta
-from zetaspectra.cli import ExperimentConfig, main
+from zetaspectra.cli import main
 from zetaspectra.montecarlo import STREAM, sample_spectrum, trial_seed
 from zetaspectra.percolation import Profile
 from zetaspectra.spectra import log_det_density
@@ -20,16 +21,6 @@ from zetaspectra.spectra import log_det_density
 
 def run_cli(args, capsys=None):
     return main(args)
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(radius=0.5)
-        with pytest.raises(ValueError, match="k_max"):
-            ExperimentConfig(k_max=-1)
 
 
 UNREAD_FLAGS = {
@@ -90,6 +81,9 @@ BAD_VALUES = [
     (["converge", "--n-sweep", "8", "--trials", "0"], ">= 2"),
     (["converge", "--gamma", "0"], "o(N)"),
     (["sample", "--n", "0"], "n must be"),
+    (["sample", "--R", "0.5"], "radius must be finite and >= 1, got 0.5"),
+    (["moments", "--theory", "--kmax", "-1"], "k_max must be >= 0, got -1"),
+    (["moments", "--kmax", "-2"], "k_max must be >= 0, got -2"),
     (["limits", "--what", "density", "--v", "0"], "v = 0"),
     (["zeta", "--graph", "C2"], "at least 3"),
     (["zeta", "--graph", ""], "cannot parse graph spec"),
@@ -101,16 +95,19 @@ BAD_VALUES = [
     (["spectrum", "--hist-bins", "-1"], "--hist-bins must be >= 0"),
     (["limits", "--what", "density", "--v", "nan"], "v must be finite"),
     (["moments", "--theory", "--v", "nan"], "v must be finite"),
-    (["moments", "--v", "inf"], "v must be finite"),
-    (["spectrum", "--v", "nan"], "v must be finite"),
+    # the sampled routes refuse a non-finite v where they build H, after one draw
+    (["moments", "--v", "inf"], "the scale v^2/phi1 of H is not finite"),
+    (["spectrum", "--v", "nan"], "the scale v^2/phi1 of H is not finite"),
+    (["moments", "--bounds", "--v", "nan"], "v must be finite"),
+    (["limits", "--what", "stieltjes", "--v", "nan"], "v must be finite"),
     (["converge", "--v=-inf"], "v must be finite"),
     (["logdet", "--v", "nan"], "v must be finite"),
     (["zeta", "--graph", "C3", "--u", "nan"], "--u must be finite"),
     (["zeta", "--graph", "C3", "--u", "inf"], "--u must be finite"),
     (["zeta", "--graph", "C3", "--u", "1e200"], "--u 1e+200: the reciprocal zeta overflows"),
-    (["sample", "--n", "3", "--R", "inf"], "--R must be finite"),
-    (["converge", "--n-sweep", "8", "--r-scale", "nan"], "--r-scale must be finite and > 0"),
-    (["converge", "--n-sweep", "8", "--r-scale", "-1"], "--r-scale must be finite and > 0"),
+    (["sample", "--n", "3", "--R", "inf"], "radius must be finite and >= 1"),
+    (["converge", "--n-sweep", "8", "--r-scale", "nan"], "r_scale must be finite and > 0"),
+    (["converge", "--n-sweep", "8", "--r-scale", "-1"], "r_scale must be finite and > 0"),
     (["converge", "--n-sweep", "-3", "--trials", "2"], "n must be >= 1, got -3"),
     (["converge", "--n-sweep", "8,0", "--trials", "2"], "n must be >= 1, got 0"),
     (["sample", "--a", "1"], "amplitude must lie in (0, 1)"),
@@ -124,7 +121,7 @@ BAD_VALUES = [
     # the density's support overflows before any grid is laid over it
     (["limits", "--what", "density", "--v", "1e200", "--points", "3"],
      "v = 1e+200: the semicircle support's right end"),
-    (["moments", "--bounds", "--kmax", "0"], "needs --kmax >= 1, got 0"),
+    (["moments", "--bounds", "--kmax", "0"], "k_max must be >= 1 for a bound sweep"),
     (["converge", "--n-sweep", "3", "--trials", "2", "--kmax", "1", "--r-scale", "1e300"],
      "r_scale = 1e+300 gives R = ceil(r_scale * N^gamma) >= N = 7"),
     # every sampled route refuses the overflowed scale of H before it solves
@@ -133,6 +130,12 @@ BAD_VALUES = [
      "v = 1e+200: the scale v^2/phi1 of H"),
     (["converge", "--n-sweep", "3", "--trials", "2", "--kmax", "1", "--v", "1e200"],
      "v = 1e+200: the scale v^2/phi1 of H"),
+    # a file that cannot be read or written is outside input too
+    (["zeta", "--graph", "file:no/such/edges.txt"], "No such file or directory"),
+    (["zeta", "--graph", "file:."], "Is a directory"),
+    (["sample", "--n", "3", "--out", "no/such/dir/edges.txt"], "No such file or directory"),
+    (["zeta", "--graph", "random:3,1.5,1"], "edge probability must lie in [0, 1], got 1.5"),
+    (["zeta", "--graph", "random:3,nan,1"], "edge probability must lie in [0, 1], got nan"),
 ]
 
 
@@ -141,6 +144,36 @@ def test_bad_value_is_refused(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"zetaspectra {argv[0]}: error: ") and reason in err
+
+
+# refusals made in the library, not the CLI: each comes before any output
+LIBRARY_REFUSALS = [
+    ["sample", "--n", "0"],
+    ["sample", "--R", "0.5"],
+    ["sample", "--n", "3", "--R", "inf"],
+    ["spectrum", "--v", "nan"],
+    ["moments", "--v", "inf"],
+    ["moments", "--kmax", "-2"],
+    ["moments", "--theory", "--v", "nan"],
+    ["moments", "--theory", "--kmax", "-1"],
+    ["moments", "--bounds", "--kmax", "0"],
+    ["moments", "--bounds", "--v", "nan"],
+    ["converge", "--v=-inf"],
+    ["converge", "--n-sweep", "8", "--r-scale", "nan"],
+    ["converge", "--n-sweep", "8", "--r-scale", "-1"],
+    ["converge", "--n-sweep", "8,16,32", "--trials", "3,3"],
+    ["logdet", "--v", "nan"],
+    ["limits", "--what", "density", "--v", "nan"],
+    ["limits", "--what", "stieltjes", "--v", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", LIBRARY_REFUSALS, ids=[" ".join(a) for a in LIBRARY_REFUSALS])
+def test_library_refusal_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out.txt"]) == 2
+    assert capsys.readouterr().err.startswith(f"zetaspectra {argv[0]}: error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 SUBCOMMANDS = {"sample", "spectrum", "moments", "converge", "logdet", "zeta", "limits", "validate"}
@@ -230,7 +263,25 @@ class TestParserReuse:
         assert main(["moments", "--theory"]) == 0
         after = capsys.readouterr()
         assert after == alone
-        assert len(after.out.splitlines()) == 1 + ExperimentConfig().k_max + 1
+        assert len(after.out.splitlines()) == 1 + cli._FLAGS["--kmax"]["default"] + 1
+
+
+def test_help_shows_each_flag_default():
+    # the parser holds the defaults, so --help can list them
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    seen = set()
+    for sub in subparsers.values():
+        # one entry per option: the lines from its flag to the next flag
+        entries = re.split(r"\n  (?=-)", sub.format_help())
+        for flag, spec in cli._FLAGS.items():
+            entry = next((e for e in entries if e.startswith(flag + " ")), None)
+            if entry is not None:
+                assert " ".join(entry.split()).endswith(f"(default: {spec['default']})"), entry
+                seen.add(flag)
+    assert seen == set(cli._FLAGS)
 
 
 class TestSample:
@@ -376,7 +427,7 @@ class TestConverge:
 
     def test_trial_count_mismatch(self, capsys):
         assert main(["converge", "--n-sweep", "8,16,32", "--trials", "3,3"]) == 2
-        assert "--n-sweep" in capsys.readouterr().err
+        assert "2 trial counts for 3 sizes" in capsys.readouterr().err
 
 
 class TestLogdet:

@@ -172,6 +172,12 @@ class TestNonFiniteV:
             semicircle_log_integral(v)
 
     @pytest.mark.parametrize("v", NON_FINITE)
+    def test_stieltjes_transform_refuses(self, v):
+        # by name, before the discriminant is formed
+        with pytest.raises(ValueError, match="v must be finite"):
+            stieltjes_transform(1j, v)
+
+    @pytest.mark.parametrize("v", NON_FINITE)
     def test_log_zeta_limit_refuses(self, v):
         with pytest.raises(ValueError, match="finite"):
             log_zeta_limit(v)

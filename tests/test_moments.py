@@ -370,6 +370,17 @@ class TestBounds:
         report = tree_bound_report(8, 1.0, 2.0)
         assert report.passed
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("table", [
+        tree_weight_table, tree_weight_split, adjacency_weight_table, limit_moments,
+        adjacency_bound_report, tree_bound_report,
+    ])
+    def test_non_finite_v_is_refused(self, table, v):
+        # every weight table reads its edge scales, which refuse a non-finite
+        # v instead of filling the table with NaN
+        with pytest.raises(ValueError, match="v must be finite"):
+            table(3, v, 1.0)
+
     @pytest.mark.parametrize("name,report", [("p_max", adjacency_bound_report), ("k_max", tree_bound_report)])
     def test_order_below_one_is_refused_by_name(self, name, report):
         with pytest.raises(ValueError, match=f"{name} must be >= 1 .* got 0"):

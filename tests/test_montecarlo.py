@@ -91,6 +91,14 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=">= 2"):
             run_ensemble(10, 2.0, gauss_profile, 1.0, seed=0, trials=1, k_max=2)
 
+    def test_negative_order_refused_before_sampling(self, gauss_profile, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the order was checked")
+
+        monkeypatch.setattr(montecarlo, "sample_adjacency", no_draw)
+        with pytest.raises(ValueError, match="k_max must be >= 0, got -2"):
+            run_ensemble(10, 2.0, gauss_profile, 1.0, seed=0, trials=2, k_max=-2)
+
 
 class TestConvergenceSweep:
     def test_gamma_domain(self, gauss_profile):

@@ -307,6 +307,12 @@ class TestPrefactorDensity:
         with pytest.raises(ValueError):
             log_prefactor_density(np.array([1, 1]), -1.2)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u_refused(self, u):
+        # abs(nan) >= 1 is False: the domain test must be written so NaN fails it
+        with pytest.raises(ValueError, match=r"need \|u\| < 1"):
+            log_prefactor_density(np.array([1, 1]), u)
+
 
 class TestNegLogZetaDensity:
     def test_zero_v(self):

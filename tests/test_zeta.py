@@ -44,6 +44,12 @@ class TestGraphs:
         again = random_connected_graph(7, 0.4, seed=42)
         assert np.array_equal(adj, again)
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_random_edge_probability_domain(self, p):
+        # refused by name before any draw; nan used to make all MAX_TRIES draws first
+        with pytest.raises(ValueError, match="edge probability must lie in \\[0, 1\\]"):
+            random_connected_graph(3, p, seed=1)
+
     def test_edge_list_roundtrip(self, tmp_path, gauss_profile):
         # `sample --out` writes site labels -n..n; reading relabels the
         # vertices that carry an edge to 0..m-1 in site order
