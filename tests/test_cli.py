@@ -89,6 +89,8 @@ BAD_VALUES = [
     (["zeta", "--graph", ""], "cannot parse graph spec"),
     (["zeta", "--graph", "random:3,0,1"], "no connected graph on 3 vertices"),
     (["zeta", "--graph", "random:10,0.01,1"], "no connected graph found in 1000 tries"),
+    # the polynomial fits its 12-vertex budget; the path count's is 10 vertices
+    (["zeta", "--graph", "K11", "--check-order", "3"], "graph too large for the path-count budget (11 > 10)"),
     # the default --v 1 on gauss a=0.5 has no positive shift
     (["logdet"], "v = 1 needs v^2 < phi1"),
     (["logdet", "--profile", "exp", "--a", "0.9", "--v", "1.2"], "|v| < 1"),

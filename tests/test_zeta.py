@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaspectra import cli
@@ -19,6 +19,7 @@ from zetaspectra.graphs import (
 )
 from zetaspectra.percolation import sample_adjacency
 from zetaspectra.zeta import (
+    ReciprocalZeta,
     _pdiv_exact,
     _pmul,
     _trim,
@@ -171,7 +172,7 @@ class TestExactPolynomial:
                 assert degree == 2 * poly.n_edges
 
     def test_budget(self):
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=r"exact-polynomial budget \(13 > 12\)"):
             zeta_reciprocal_polynomial(complete_graph(13))
 
 
@@ -197,7 +198,7 @@ class TestClosedPaths:
     def test_budgets(self):
         with pytest.raises(ValueError):
             count_closed_paths(cycle_graph(3), 13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"path-count budget \(11 > 10\)"):
             count_closed_paths(complete_graph(11), 3)
         with pytest.raises(ValueError):
             count_closed_paths(cycle_graph(3), 0)
@@ -284,3 +285,142 @@ class TestSeriesConsistency:
     def test_refuses_another_graphs_polynomial(self):
         with pytest.raises(ValueError, match="another graph"):
             series_consistency(cycle_graph(4), zeta_reciprocal_polynomial(cycle_graph(3)), 6)
+
+
+# ---------------------------------------------------------------------------
+# the routes the package used before its exact layer ran on plain integers,
+# kept as oracles: Bareiss elimination over the integer polynomial ring, and
+# the exponential of the path series in Fractions
+
+def _psub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
+
+
+def _poly_det_bareiss(mat):
+    """Fraction-free determinant of a matrix of integer polynomials."""
+    n = len(mat)
+    m = [[list(entry) for entry in row] for row in mat]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for swap in range(k + 1, n):
+                if m[swap][k]:
+                    m[k], m[swap] = m[swap], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _psub(_pmul(m[i][j], m[k][k]), _pmul(m[i][k], m[k][j]))
+                m[i][j] = _pdiv_exact(num, prev) if num else []
+        prev = m[k][k]
+    det = m[n - 1][n - 1] if n else [1]  # the empty determinant is 1
+    return [-c for c in det] if sign < 0 else det
+
+
+def polynomial_ring_coefficients(adj):
+    """(1 - u^2)^(r-1) det(I + u^2 (B - I) - u A), eliminated entry by
+    entry over the polynomial ring."""
+    n, degrees = len(adj), adj.sum(axis=1)
+    mat = [
+        [_trim([1, 0, int(degrees[i]) - 1]) if i == j else _trim([0, -int(adj[i, j])]) for j in range(n)]
+        for i in range(n)
+    ]
+    poly = _poly_det_bareiss(mat)
+    rank = int(degrees.sum()) // 2 - n
+    for _ in range(max(rank, 0)):
+        poly = _pmul(poly, [1, 0, -1])
+    for _ in range(max(-rank, 0)):
+        poly = _pdiv_exact(poly, [1, 0, -1])
+    return tuple(poly)
+
+
+def fraction_series_gap(adj, poly, order):
+    """series_consistency with the exponential's coefficients in Fractions."""
+    counts = [0] + [count_closed_paths(adj, k) for k in range(1, order + 1)]
+    exp_coeffs = [Fraction(1)]
+    for m in range(1, order + 1):
+        acc = Fraction(0)
+        for i in range(1, m + 1):
+            acc += Fraction(counts[i]) * exp_coeffs[m - i]
+        exp_coeffs.append(acc / m)
+    coeffs = poly.coefficients
+    worst = Fraction(0)
+    for j in range(order + 1):
+        c = sum(
+            exp_coeffs[i] * coeffs[j - i]
+            for i in range(max(0, j - len(coeffs) + 1), j + 1)
+        )
+        worst = max(worst, abs(c - (1 if j == 0 else 0)))
+    return worst
+
+
+def _from_upper(n, bits):
+    adj = np.zeros((n, n), dtype=int)
+    adj[np.triu_indices(n, 1)] = bits
+    return adj + adj.T
+
+
+def _forest(parents):
+    # vertex i + 1 hangs from parents[i], or starts a new tree when that is i + 1
+    adj = np.zeros((len(parents) + 1,) * 2, dtype=int)
+    for child, parent in enumerate(parents, start=1):
+        if parent < child:
+            adj[child, parent] = adj[parent, child] = 1
+    return adj
+
+
+def simple_graphs(max_n):
+    dense = st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        .map(lambda bits: _from_upper(n, bits))
+    )
+    forests = st.integers(0, max_n - 1).flatmap(
+        lambda m: st.tuples(*[st.integers(0, i + 1) for i in range(m)]).map(_forest)
+    )
+    return st.one_of(dense, forests)
+
+
+def _two_triangles_and_an_edge():
+    adj = np.zeros((8, 8), dtype=int)
+    adj[:3, :3] = adj[3:6, 3:6] = cycle_graph(3)
+    adj[6, 7] = adj[7, 6] = 1
+    return adj
+
+
+class TestIntegerRoutesMatchTheirOracles:
+    # the Kronecker-packed integer determinant against the polynomial-ring
+    # elimination, and the factorial-scaled series against Fractions:
+    # equal coefficients and equal Fractions, not close ones
+
+    @given(simple_graphs(12))
+    @example(empty_graph(0))  # packed value 1
+    @example(empty_graph(1))  # packed value 1 - X^2 < 0
+    @example(empty_graph(7))
+    @example(path_graph(12))
+    @example(_forest([0, 1, 1, 4, 4, 0, 7, 8]))
+    @example(_two_triangles_and_an_edge())
+    @example(complete_graph(12))  # the largest coefficient bound, 22^12
+    def test_polynomial_equals_the_polynomial_ring_route(self, adj):
+        assert zeta_reciprocal_polynomial(adj).coefficients == polynomial_ring_coefficients(adj)
+
+    @settings(max_examples=60)
+    @given(simple_graphs(10), st.integers(1, 12), st.integers(0, 14), st.integers(-3, 3))
+    @example(complete_graph(10), 12, 0, 0)
+    @example(cycle_graph(3), 12, 3, 1)
+    def test_series_gap_equals_the_fraction_route(self, adj, order, index, bump):
+        # bump = 0 pairs the graph with its own polynomial (gap 0); otherwise
+        # one coefficient moves, possibly past the polynomial's degree
+        poly = zeta_reciprocal_polynomial(adj)
+        coeffs = list(poly.coefficients) + [0] * max(0, index + 1 - len(poly.coefficients))
+        coeffs[index] += bump
+        poly = ReciprocalZeta(tuple(coeffs), poly.n_vertices, poly.n_edges, poly.rank_term)
+        gap = series_consistency(adj, poly, order)
+        assert type(gap) is Fraction
+        assert gap == fraction_series_gap(adj, poly, order)
+        assert (gap == 0) == (bump == 0 or index > order)
