@@ -214,9 +214,11 @@ def _cmd_zeta(args) -> int:
     if args.u is not None and not math.isfinite(args.u):
         raise ValueError(f"--u must be finite, got {args.u}")
     adj = _parse_graph(args.graph)
+    if args.check_order:
+        zeta._check_path_budget(adj, args.check_order)  # refuse before the polynomial
     poly = zeta.zeta_reciprocal_polynomial(adj)
     payload = {
-        "coefficients": poly.as_list(),
+        "coefficients": list(poly.coefficients),
         "n_vertices": poly.n_vertices,
         "n_edges": poly.n_edges,
         "rank_term": poly.rank_term,

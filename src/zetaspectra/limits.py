@@ -55,8 +55,8 @@ def _check_v(v: float) -> None:
 
 def semicircle_support(v: float) -> tuple[float, float]:
     _check_v(v)
-    if v == 0.0:
-        raise ValueError("v = 0 degenerates the semicircle to a point mass")
+    if v * v == 0.0:  # v = 0, or |v| below ~1.5e-162 where v^2 underflows
+        raise ValueError(f"v = {v:g} degenerates the semicircle to a point mass")
     hi = v * v + 2.0 * abs(v)
     if not math.isfinite(hi):
         raise ValueError(f"v = {v:g}: the semicircle support's right end v^2 + 2|v| overflows a float")
@@ -96,22 +96,29 @@ def semicircle_moment(k: int, v: float) -> float:
 def stieltjes_transform(z: complex, v: float) -> complex:
     """The branch of (v^2 g^2 + (z - v^2) g + 1 = 0) with Im z * Im g >= 0.
 
-    Real z is refused: evaluate at Im z != 0.
+    Real z is refused: evaluate at Im z != 0.  With b = z - v^2, the roots
+    are q/v^2 and 1/q for q = -(b + disc)/2, the sign of disc = sqrt(b^2 -
+    4 v^2) taken so that b + disc does not cancel: the textbook
+    (-b +- disc)/(2 v^2) loses every digit of the small root once v^2 is
+    small beside |b|.
     """
     _check_v(v)
-    if v == 0.0:
-        raise ValueError("v = 0 degenerates the transform")
+    if v * v == 0.0:  # v = 0, or |v| below ~1.5e-162 where v^2 underflows
+        raise ValueError(f"v = {v:g} degenerates the transform")
     z = complex(z)
     if z.imag == 0.0:
         raise ValueError(f"the transform needs Im z != 0, got z = {z}")
-    shift = z - v * v
-    disc = cmath.sqrt(shift * shift - 4.0 * v * v)
+    b = z - v * v
+    disc = cmath.sqrt(b * b - 4.0 * v * v)
     if not cmath.isfinite(disc):
         raise ValueError(f"v = {v:g}: the transform's discriminant overflows a float")
-    for g in ((-shift + disc) / (2 * v * v), (-shift - disc) / (2 * v * v)):
-        if z.imag * g.imag >= 0.0:
-            return g
-    raise ArithmeticError("no admissible branch found")  # pragma: no cover
+    if (b.conjugate() * disc).real < 0.0:
+        disc = -disc
+    q = -(b + disc) / 2.0
+    # the roots' product 1/v^2 is real and positive, and Im z != 0 keeps
+    # them off the real axis, so exactly one lies in Im z's half-plane
+    g = 1.0 / q
+    return g if z.imag * g.imag >= 0.0 else q / (v * v)
 
 
 def log_zeta_limit(v: float) -> float:

@@ -327,8 +327,8 @@ def _check_bound_order(name: str, order: int) -> None:
 
 
 def _check_bound_v(v: float) -> None:
-    if v == 0.0:
-        raise ValueError("v = 0 makes every moment bound (C v^2)^k zero")
+    if v * v == 0.0:  # v = 0, or |v| below ~1.5e-162 where v^2 underflows
+        raise ValueError(f"v = {v:g} makes every moment bound (C v^2)^k zero")
 
 
 def _adjacency_constant(phi1: float) -> float:
@@ -370,7 +370,7 @@ def admissible_constant(v: float, phi1: float) -> float:
     while max(_tree_bound_inequalities(hi, v, phi1)) > 1.0:
         hi *= 2.0
         if hi > 1e12:
-            raise ArithmeticError("no admissible constant below 1e12")
+            raise ValueError(f"v = {v:g}, phi1 = {phi1:g}: no admissible constant below 1e12")
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if max(_tree_bound_inequalities(mid, v, phi1)) <= 1.0:

@@ -272,14 +272,14 @@ def stieltjes_tail_within_bound() -> bool:
 
 
 def check_mean_degree_sum() -> CheckResult:
-    # deterministic row-sum precursor of the prefactor expectation, N = 4001
+    # expected edges per vertex E[E]/N = sum_(d>=1) (N - d) p_d / N, the
+    # precursor of the prefactor expectation, against its limit phi1/2
     n = 2000
     profile = percolation.Profile.from_name("gauss", 0.5)
-    radius = math.sqrt(2 * n + 1)
     n_vertices = 2 * n + 1
-    d = np.arange(-(n_vertices - 1), n_vertices)
-    weights = n_vertices - np.abs(d)
-    total = float(np.sum(weights * profile.phi(d / radius))) / (2.0 * n_vertices * radius)
+    radius = math.sqrt(n_vertices)
+    pairs = n_vertices - np.arange(1, n_vertices)  # site pairs at distance d
+    total = float(np.dot(pairs, percolation.offset_probabilities(n, radius, profile))) / n_vertices
     target = profile.phi1 / 2.0
     gap = abs(total - target) / target
     return CheckResult(

@@ -1,32 +1,31 @@
 """Exact Ihara zeta function of small explicit graphs.
 
-The reciprocal of the zeta function is the polynomial
+The reciprocal of the zeta function is the polynomial (Ihara-Bass)
 
     (1 - u^2)^(r-1) * det(I + u^2 (B - I) - u A)
 
 with A the adjacency matrix, B the diagonal degree matrix and
-r - 1 = Tr(B - 2I)/2.  The determinant is one fraction-free (Bareiss)
-elimination over plain integers, at u = 2^b: the product over vertices of
-1 + |d - 1| + d bounds every coefficient's magnitude, b puts 2^(b-1)
-above that bound, and the signed base-2^b digits of the integer are then
-exactly the coefficients.  Calling the ReciprocalZeta evaluates it at a
-float u; it is the package's one reciprocal-zeta value.
+r - 1 = Tr(B - 2I)/2.  Both factors are taken at u = 2^b, on plain
+integers: the determinant is one fraction-free (Bareiss) elimination, the
+factor (1 - u^2)^|r-1| one product or one exact divmod, and b puts 2^(b-2)
+above a bound on every coefficient's magnitude, so the signed base-2^b
+digits of the result are exactly the coefficients.  Calling the
+ReciprocalZeta evaluates it at a float u; it is the package's one
+reciprocal-zeta value.
 
 Independently, the zeta function is the exponential of the generating
-series of closed backtrackless tailless path counts.  count_closed_paths
-counts them by the non-backtracking edge matrix, sharing no code with the
-determinant; series_consistency multiplies the exponential of their series
-against the reciprocal polynomial and reports the worst deviation from 1,
-exactly: the series runs on integers scaled by factorials, and only the
-deviation at each order is a fraction.  On a correct build the deviation
-is exactly zero through the requested order.
+series sum_k N_k u^k / k of closed backtrackless tailless path counts.
+count_closed_paths counts them by the non-backtracking edge matrix, sharing
+no code with the determinant; series_consistency checks the reciprocal
+polynomial's coefficients c_k against them by Newton's identities,
+k c_k + sum_(i<=k) N_i c_(k-i) = 0 (the log-derivative of the
+exponential), in plain integers.  On a correct build every residual is
+exactly zero through the requested order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,48 +40,6 @@ MAX_EXACT_VERTICES = 12
 MAX_PATH_VERTICES = 10
 MAX_PATH_LENGTH = 12
 
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers; a polynomial is a list of int coefficients
-# indexed by degree, normalized to no trailing zeros ([] is the zero poly)
-
-def _trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-def _pdiv_exact(num, den):
-    """Exact division in the integer polynomial ring; raises if inexact.
-
-    Long division in place: each quotient coefficient is one divmod of the
-    working leading coefficient, and q * den is subtracted into the list."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    top, lead = len(den) - 1, den[-1]
-    quot = [0] * max(len(rem) - top, 1)
-    for shift in range(len(rem) - 1 - top, -1, -1):
-        q, r = divmod(rem[shift + top], lead)
-        if r:
-            raise ValueError("determinant not divisible - graph/implementation inconsistency")
-        if q:
-            quot[shift] = q
-            for j, c in enumerate(den):
-                rem[shift + j] -= q * c
-    if any(rem[:top]):
-        raise ValueError("determinant not divisible - graph/implementation inconsistency")
-    return _trim(quot)
 
 def _det_bareiss(m: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix whose leading
@@ -107,16 +64,17 @@ class ReciprocalZeta:
     coefficients: tuple[int, ...]
     n_vertices: int
     n_edges: int
-    rank_term: float  # r - 1
+
+    @property
+    def rank_term(self) -> float:
+        """r - 1 = E - N."""
+        return float(self.n_edges - self.n_vertices)
 
     def __call__(self, u: float) -> float:
         out = 0.0
         for c in reversed(self.coefficients):
             out = out * u + c
         return out
-
-    def as_list(self) -> list[int]:
-        return list(self.coefficients)
 
 
 def _validate_small_graph(adj: np.ndarray, limit: int, budget: str) -> np.ndarray:
@@ -137,25 +95,36 @@ def _validate_small_graph(adj: np.ndarray, limit: int, budget: str) -> np.ndarra
 def zeta_reciprocal_polynomial(adj: np.ndarray) -> ReciprocalZeta:
     """Exact coefficients of the reciprocal zeta polynomial.
 
-    det(I - uA + u^2 (B - I)) is one integer determinant at u = X = 2^b
-    (Kronecker substitution), unpacked into signed base-X digits.  Row i
-    of the polynomial matrix has coefficient magnitudes summing to
-    1 + |d_i - 1| + d_i, so their product bounds the coefficient magnitudes
-    of the determinant (and of every minor); b makes X/2 exceed it, and
-    the digits are exactly the coefficients.
+    The whole polynomial is one integer at u = X = 2^b (Kronecker
+    substitution), unpacked into signed base-X digits.  Row i of the
+    polynomial matrix has coefficient magnitudes summing to
+    1 + |d_i - 1| + d_i, so their product B bounds the summed coefficient
+    magnitudes of the determinant (and of every minor).  With k = |r - 1|:
 
-    For forests r - 1 < 0 and the determinant must be exactly divisible by
-    (1 - u^2)^(1-r); inexact division signals an inconsistent input.
+    - r - 1 >= 0: the product with (1 - u^2)^k has summed magnitudes at
+      most B 2^k;
+    - r - 1 < 0: a quotient by (1 - u^2)^k is the determinant times the
+      series sum_i C(k-1+i, i) u^(2i) of (1 - u^2)^-k, truncated at i = n
+      (long division from the top reads the same series in 1/u), so its
+      coefficients are at most B 2^(k+n-1), and those of a remainder of
+      the polynomial division at most B (1 + 2^(2k+n-1)).
+
+    b puts X/4 above the bound.  Then digits below X/2 are exactly the
+    coefficients, and the integer divmod by (1 - X^2)^k is exact only when
+    the polynomial division is: a nonzero remainder r(u) of degree < 2k has
+    0 < |r(X)| < |1 - X^2|^k, so it leaves a nonzero integer remainder.  An
+    inexact division signals an inconsistent input and raises.
     """
     adj = _validate_small_graph(adj, MAX_EXACT_VERTICES, "exact-polynomial")
     n = adj.shape[0]
     degrees = adj.sum(axis=1).tolist()
     n_edges = sum(degrees) // 2
     rank = n_edges - n  # r - 1 as an exact integer
-    bound = 1
+    k = abs(rank)
+    bound = 2**k if rank >= 0 else 1 + 2 ** (2 * k + n - 1)
     for d in degrees:
         bound *= 1 + abs(d - 1) + d
-    bits = bound.bit_length() + 1
+    bits = bound.bit_length() + 2
     scale = 1 << bits
     # every leading principal minor is 1 at u = 0, so 1 mod X at u = X:
     # no pivot is zero
@@ -163,6 +132,13 @@ def zeta_reciprocal_polynomial(adj: np.ndarray) -> ReciprocalZeta:
     for i, d in enumerate(degrees):
         rows[i][i] = 1 + (d - 1) * scale * scale
     packed = _det_bareiss(rows)
+    factor = (1 - scale * scale) ** k
+    if rank >= 0:
+        packed *= factor
+    else:
+        packed, rest = divmod(packed, factor)
+        if rest:
+            raise ValueError("determinant not divisible - graph/implementation inconsistency")
     poly = []
     while packed:
         digit = packed & (scale - 1)
@@ -170,21 +146,20 @@ def zeta_reciprocal_polynomial(adj: np.ndarray) -> ReciprocalZeta:
             digit -= scale
         poly.append(digit)
         packed = (packed - digit) >> bits
-    one_minus_u2 = [1, 0, -1]
-    if rank >= 0:
-        for _ in range(rank):
-            poly = _pmul(poly, one_minus_u2)
-    else:
-        for _ in range(-rank):
-            poly = _pdiv_exact(poly, one_minus_u2)
     if not poly or poly[0] != 1:
         raise ValueError("reciprocal zeta polynomial must have constant term 1")
-    return ReciprocalZeta(
-        coefficients=tuple(poly),
-        n_vertices=n,
-        n_edges=n_edges,
-        rank_term=float(rank),
-    )
+    return ReciprocalZeta(coefficients=tuple(poly), n_vertices=n, n_edges=n_edges)
+
+
+def _check_path_budget(adj: np.ndarray, order: int) -> np.ndarray:
+    """Refuse path counts of lengths 1..order beyond the path-count budget,
+    before any work; returns the validated adjacency."""
+    adj = _validate_small_graph(adj, MAX_PATH_VERTICES, "path-count")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > MAX_PATH_LENGTH:
+        raise ValueError(f"path length {order} beyond path-count budget {MAX_PATH_LENGTH}")
+    return adj
 
 
 def count_closed_paths(adj: np.ndarray, k: int) -> int:
@@ -196,11 +171,7 @@ def count_closed_paths(adj: np.ndarray, k: int) -> int:
     counts the paths whose first step does not reverse their last
     (Hashimoto).
     """
-    adj = _validate_small_graph(adj, MAX_PATH_VERTICES, "path-count")
-    if k < 1:
-        raise ValueError("path length must be >= 1")
-    if k > MAX_PATH_LENGTH:
-        raise ValueError(f"path length {k} beyond path-count budget {MAX_PATH_LENGTH}")
+    adj = _check_path_budget(adj, k)
     tails, heads = np.nonzero(adj)
     follows = heads[:, None] == tails[None, :]
     step = (follows & (tails[:, None] != heads[None, :])).astype(np.int64)
@@ -210,34 +181,23 @@ def count_closed_paths(adj: np.ndarray, k: int) -> int:
     return int(np.trace(np.linalg.matrix_power(step, k)))
 
 
-def series_consistency(adj: np.ndarray, poly: ReciprocalZeta, order: int) -> Fraction:
-    """Largest |coefficient - delta_{j,0}| of exp(path series) * poly.
+def series_consistency(adj: np.ndarray, poly: ReciprocalZeta, order: int) -> int:
+    """Largest Newton residual of poly against the path counts N_k:
+    max(|c_0 - 1|, max_(1<=k<=order) |k c_k + sum_(i=1..k) N_i c_(k-i)|).
 
     poly is zeta_reciprocal_polynomial(adj), computed once by the caller.
-    Both factors are exact, so a correct pairing returns Fraction(0).  The
-    series runs on integers scaled by factorials: e_m = m! E_m for the
-    exponential's coefficients E_m, and j! c_j for the product's, so the
-    only division is the gap's own.
+    exp(sum_k N_k u^k / k) * poly = 1 + O(u^(order+1)) holds exactly when
+    c_0 = 1 and poly' + S' poly = O(u^order), S' = sum_k N_k u^(k-1), whose
+    coefficients are the residuals; so a correct pairing returns 0.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    adj = _check_path_budget(adj, order)
     if (poly.n_vertices, poly.n_edges) != (len(adj), int(np.sum(adj)) // 2):
         raise ValueError("polynomial belongs to another graph")
     counts = [0] + [count_closed_paths(adj, k) for k in range(1, order + 1)]
-    # exp of S = sum_k counts[k] u^k / k via E' = S'E: m E_m = sum_i counts[i] E_(m-i)
-    scaled_exp = [1]
-    for m in range(1, order + 1):
-        scaled_exp.append(sum(
-            counts[i] * math.perm(m - 1, i - 1) * scaled_exp[m - i] for i in range(1, m + 1)
-        ))
-    coeffs = poly.coefficients
-    worst = Fraction(0)
-    for j in range(order + 1):
-        scaled = sum(
-            scaled_exp[i] * math.perm(j, j - i) * coeffs[j - i]
-            for i in range(max(0, j - len(coeffs) + 1), j + 1)
-        )
-        gap = abs(scaled - (1 if j == 0 else 0))
-        if gap:
-            worst = max(worst, Fraction(gap, math.factorial(j)))
+    coeffs = list(poly.coefficients[: order + 1])
+    coeffs += [0] * (order + 1 - len(coeffs))
+    worst = abs(coeffs[0] - 1)
+    for k in range(1, order + 1):
+        residual = k * coeffs[k] + sum(counts[i] * coeffs[k - i] for i in range(1, k + 1))
+        worst = max(worst, abs(residual))
     return worst

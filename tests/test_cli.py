@@ -115,6 +115,12 @@ BAD_VALUES = [
     (["sample", "--a", "1"], "amplitude must lie in (0, 1)"),
     (["moments", "--theory", "--kmax", "16", "--v", "1e80"], "v = 1e+80: the edge scale"),
     (["moments", "--bounds", "--v", "0"], "v = 0 makes every moment bound"),
+    # below |v| ~ 1.5e-162, v^2 underflows to 0 as at v = 0
+    (["moments", "--bounds", "--v", "1e-200"], "v = 1e-200 makes every moment bound"),
+    (["limits", "--what", "density", "--v", "1e-170"], "v = 1e-170 degenerates the semicircle"),
+    (["limits", "--what", "stieltjes", "--v", "1e-200"], "v = 1e-200 degenerates the transform"),
+    # the tree bound's admissible C grows like 1/v and passes the bisection's ceiling
+    (["moments", "--bounds", "--v", "1e-12"], "v = 1e-12, phi1 = 0.886227: no admissible constant"),
     (["limits", "--what", "stieltjes", "--v", "1e200"], "v = 1e+200: the transform's discriminant"),
     # v^2 overflows to inf and the bound ratios to nan: the JSON writer refuses them
     (["moments", "--bounds", "--kmax", "4", "--v", "1e200"], "a value JSON cannot carry"),
@@ -167,6 +173,10 @@ LIBRARY_REFUSALS = [
     ["logdet", "--v", "nan"],
     ["limits", "--what", "density", "--v", "nan"],
     ["limits", "--what", "stieltjes", "--v", "nan"],
+    ["moments", "--bounds", "--v", "1e-200"],
+    ["moments", "--bounds", "--v", "1e-12"],
+    ["limits", "--what", "density", "--v", "1e-170"],
+    ["limits", "--what", "stieltjes", "--v", "1e-200"],
 ]
 
 
@@ -484,6 +494,14 @@ class TestZeta:
         # polynomial even though (1 - u^2)^(r-1) has one for r - 1 < 0
         assert main(["zeta", "--graph", "P4", "--u", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["reciprocal_at_u"] == 1.0
+
+    @pytest.mark.parametrize("graph,order", [("K11", "3"), ("C3", "13"), ("C3", "-1")])
+    def test_path_budget_refused_before_the_polynomial(self, graph, order, monkeypatch):
+        calls = []
+        original = zeta.zeta_reciprocal_polynomial
+        monkeypatch.setattr(zeta, "zeta_reciprocal_polynomial", lambda adj: calls.append(1) or original(adj))
+        assert main(["zeta", "--graph", graph, "--check-order", order]) == 2
+        assert calls == []
 
     def test_series_check_exit_code(self):
         assert main(["zeta", "--graph", "K4", "--check-order", "8", "--out", ""]) == 0

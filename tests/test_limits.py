@@ -134,6 +134,17 @@ class TestStieltjesTransform:
         assert abs(v * v * g * g + (z - v * v) * g + 1.0) <= 1e-12
         assert z.imag * g.imag >= 0.0
 
+    @pytest.mark.parametrize("v", [1.0, 1e-3, 1e-6, 1e-8, 1e-100, 1e-160])
+    def test_quadratic_residual_at_small_v(self, v):
+        # the textbook (-b +- disc)/(2 v^2) cancels in the small root once
+        # v^2 is small beside |z|; at v = 1e-160, v^2 is subnormal
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            z = complex(rng.uniform(-6.0, 6.0), rng.uniform(1e-3, 6.0) * rng.choice([-1.0, 1.0]))
+            g = stieltjes_transform(z, v)
+            assert abs(v * v * g * g + (z - v * v) * g + 1.0) <= 2e-15
+            assert z.imag * g.imag > 0.0
+
     def test_on_support_rejected(self):
         # real z is refused on the support and off it alike
         for z in (1.0, 4.0, complex(-7.0, 0.0)):
@@ -183,7 +194,7 @@ class TestNonFiniteV:
             log_zeta_limit(v)
 
 
-@given(st.floats(-4.0, 4.0).filter(bool))
+@given(st.floats(-4.0, 4.0).filter(lambda v: v * v != 0.0))  # v^2 = 0 is refused
 def test_support_never_crosses_minus_one(v):
     # (|v| - 1)^2 >= 0 survives rounding, so log(1 + lambda) stays finite on
     # every rule node and semicircle_log_integral needs no refusal for it

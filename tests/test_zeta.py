@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaspectra import cli
+from zetaspectra import cli, zeta
 from zetaspectra.graphs import (
     complete_graph,
     cycle_graph,
@@ -20,9 +21,6 @@ from zetaspectra.graphs import (
 from zetaspectra.percolation import sample_adjacency
 from zetaspectra.zeta import (
     ReciprocalZeta,
-    _pdiv_exact,
-    _pmul,
-    _trim,
     count_closed_paths,
     series_consistency,
     zeta_reciprocal_polynomial,
@@ -99,34 +97,24 @@ class TestDeterminantFormula:
             zeta_reciprocal_polynomial(np.array([[1]]))  # loop
 
 
-POLY = st.lists(st.integers(-50, 50), max_size=8).map(_trim)
-NONZERO_POLY = st.lists(st.integers(-50, 50), max_size=6).flatmap(
-    lambda low: st.integers(-9, 9).filter(bool).map(lambda lead: low + [lead])
-)
-
-
 class TestExactDivision:
-    @given(POLY, NONZERO_POLY)
-    def test_undoes_multiplication(self, a, b):
-        assert _pdiv_exact(_pmul(a, b), b) == a
+    @given(st.data())
+    def test_nonzero_remainder_raises(self, data):
+        # a forest's determinant is (1 - u^2)^k, k its component count;
+        # plus a nonzero remainder of degree < 2k it no longer divides.  The
+        # last vertex is isolated, so its diagonal entry at u = X is 1 - X^2
+        adj = np.pad(data.draw(forests(11)), (0, 1))
+        k = len(adj) - int(adj.sum()) // 2
+        rest = data.draw(st.lists(st.integers(-3, 3), min_size=2 * k, max_size=2 * k).filter(any))
+        original = zeta._det_bareiss
 
-    @given(POLY, NONZERO_POLY.filter(lambda b: len(b) > 1), st.data())
-    def test_nonzero_remainder_raises(self, a, b, data):
-        # a * b plus a nonzero remainder of lower degree than b
-        rest = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=len(b) - 1).filter(any))
-        num = _pmul(a, b) + [0] * len(b)
-        for i, c in enumerate(rest):
-            num[i] += c
-        with pytest.raises(ValueError, match="not divisible"):
-            _pdiv_exact(_trim(num), b)
+        def with_remainder(m):
+            scale = math.isqrt(1 - m[-1][-1])
+            return original(m) + sum(r * scale**j for j, r in enumerate(rest))
 
-    def test_indivisible_leading_coefficient_raises(self):
-        with pytest.raises(ValueError, match="not divisible"):
-            _pdiv_exact([0, 1], [0, 2])  # u / 2u has no integer quotient
-
-    def test_zero_divisor_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            _pdiv_exact([1, 2], [])
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(ValueError, match="not divisible"):
+            patch.setattr(zeta, "_det_bareiss", with_remainder)
+            zeta_reciprocal_polynomial(adj)
 
     def test_forest_with_a_cycle_divides_exactly(self):
         # a triangle beside a separate edge: r - 1 = -1, so the determinant
@@ -136,21 +124,21 @@ class TestExactDivision:
         adj[3, 4] = adj[4, 3] = 1
         poly = zeta_reciprocal_polynomial(adj)
         assert poly.rank_term == -1.0
-        assert poly.as_list() == zeta_reciprocal_polynomial(cycle_graph(3)).as_list()
+        assert poly.coefficients == zeta_reciprocal_polynomial(cycle_graph(3)).coefficients
 
 
 class TestExactPolynomial:
     def test_triangle_coefficients(self):
         poly = zeta_reciprocal_polynomial(cycle_graph(3))
-        assert poly.as_list() == [1, 0, 0, -2, 0, 0, 1]  # (1 - u^3)^2
+        assert poly.coefficients == (1, 0, 0, -2, 0, 0, 1)  # (1 - u^3)^2
 
     def test_edgeless_graph(self):
         poly = zeta_reciprocal_polynomial(empty_graph(5))
-        assert poly.as_list() == [1]
+        assert poly.coefficients == (1,)
 
     def test_tree_polynomial_is_one(self):
         for n in range(2, 6):
-            assert zeta_reciprocal_polynomial(path_graph(n)).as_list() == [1]
+            assert zeta_reciprocal_polynomial(path_graph(n)).coefficients == (1,)
 
     def test_evaluation_matches_determinant(self):
         # float reference: (1 - u^2)^(r-1) det(I + u^2 (B - I) - u A)
@@ -270,17 +258,17 @@ def series_gap(adj, order):
 
 class TestSeriesConsistency:
     def test_triangle_exact(self):
-        assert series_gap(cycle_graph(3), 10) == Fraction(0)
+        assert series_gap(cycle_graph(3), 10) == 0
 
     def test_tree_exact(self):
-        assert series_gap(path_graph(4), 10) == Fraction(0)
+        assert series_gap(path_graph(4), 10) == 0
 
     def test_complete_graph_exact(self):
-        assert series_gap(complete_graph(4), 8) == Fraction(0)
+        assert series_gap(complete_graph(4), 8) == 0
 
     def test_full_corpus_exact(self):
         for name, adj in zeta_corpus():
-            assert series_gap(adj, 10) == Fraction(0), name
+            assert series_gap(adj, 10) == 0, name
 
     def test_refuses_another_graphs_polynomial(self):
         with pytest.raises(ValueError, match="another graph"):
@@ -289,8 +277,43 @@ class TestSeriesConsistency:
 
 # ---------------------------------------------------------------------------
 # the routes the package used before its exact layer ran on plain integers,
-# kept as oracles: Bareiss elimination over the integer polynomial ring, and
-# the exponential of the path series in Fractions
+# kept as oracles: Bareiss elimination over the integer polynomial ring, with
+# (1 - u^2)^(r-1) applied by polynomial long multiplication and division,
+# and the exponential of the path series in Fractions.  A polynomial is a
+# list of int coefficients indexed by degree, with no trailing zeros.
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def _pdiv_exact(num, den):
+    """Exact long division by den; raises if the remainder is nonzero."""
+    rem = list(num)
+    top, lead = len(den) - 1, den[-1]
+    quot = [0] * max(len(rem) - top, 1)
+    for shift in range(len(rem) - 1 - top, -1, -1):
+        q, r = divmod(rem[shift + top], lead)
+        if r:
+            raise ValueError("not divisible")
+        quot[shift] = q
+        for j, c in enumerate(den):
+            rem[shift + j] -= q * c
+    if any(rem[:top]):
+        raise ValueError("not divisible")
+    return _trim(quot)
+
 
 def _psub(a, b):
     out = list(a) + [0] * (len(b) - len(a))
@@ -375,15 +398,24 @@ def _forest(parents):
     return adj
 
 
+def forests(max_n):
+    return st.integers(0, max_n - 1).flatmap(
+        lambda m: st.tuples(*[st.integers(0, i + 1) for i in range(m)]).map(_forest)
+    )
+
+
 def simple_graphs(max_n):
     dense = st.integers(0, max_n).flatmap(
         lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
         .map(lambda bits: _from_upper(n, bits))
     )
-    forests = st.integers(0, max_n - 1).flatmap(
-        lambda m: st.tuples(*[st.integers(0, i + 1) for i in range(m)]).map(_forest)
-    )
-    return st.one_of(dense, forests)
+    return st.one_of(dense, forests(max_n))
+
+
+def _triangle_beside(isolated):
+    adj = np.zeros((3 + isolated,) * 2, dtype=int)
+    adj[:3, :3] = cycle_graph(3)
+    return adj
 
 
 def _two_triangles_and_an_edge():
@@ -394,9 +426,9 @@ def _two_triangles_and_an_edge():
 
 
 class TestIntegerRoutesMatchTheirOracles:
-    # the Kronecker-packed integer determinant against the polynomial-ring
-    # elimination, and the factorial-scaled series against Fractions:
-    # equal coefficients and equal Fractions, not close ones
+    # the Kronecker-packed integer route against the polynomial-ring
+    # elimination, equal coefficients and not close ones; and the Newton
+    # residuals against the Fraction exponential, zero exactly together
 
     @given(simple_graphs(12))
     @example(empty_graph(0))  # packed value 1
@@ -405,7 +437,9 @@ class TestIntegerRoutesMatchTheirOracles:
     @example(path_graph(12))
     @example(_forest([0, 1, 1, 4, 4, 0, 7, 8]))
     @example(_two_triangles_and_an_edge())
-    @example(complete_graph(12))  # the largest coefficient bound, 22^12
+    @example(complete_graph(12))  # the largest coefficient bound, 22^12; r - 1 = 54
+    @example(empty_graph(12))  # r - 1 = -12, the most negative
+    @example(_triangle_beside(9))  # r - 1 = -9 on a nonconstant determinant
     def test_polynomial_equals_the_polynomial_ring_route(self, adj):
         assert zeta_reciprocal_polynomial(adj).coefficients == polynomial_ring_coefficients(adj)
 
@@ -419,8 +453,7 @@ class TestIntegerRoutesMatchTheirOracles:
         poly = zeta_reciprocal_polynomial(adj)
         coeffs = list(poly.coefficients) + [0] * max(0, index + 1 - len(poly.coefficients))
         coeffs[index] += bump
-        poly = ReciprocalZeta(tuple(coeffs), poly.n_vertices, poly.n_edges, poly.rank_term)
+        poly = ReciprocalZeta(tuple(coeffs), poly.n_vertices, poly.n_edges)
         gap = series_consistency(adj, poly, order)
-        assert type(gap) is Fraction
-        assert gap == fraction_series_gap(adj, poly, order)
-        assert (gap == 0) == (bump == 0 or index > order)
+        assert type(gap) is int
+        assert (gap == 0) == (fraction_series_gap(adj, poly, order) == 0) == (bump == 0 or index > order)
