@@ -11,16 +11,9 @@ import time
 
 import numpy as np
 
-from . import graphs, limits, moments, percolation, spectra, zeta
-from .montecarlo import (
-    STREAM,
-    convergence_sweep,
-    moment_comparison,
-    run_ensemble,
-    sample_spectrum,
-    trial_seed,
-)
-from .validate import run_validation
+# Only the numpy layers load with the CLI: the handlers that sample H or
+# factor it import montecarlo and spectra, and with them scipy, when they run.
+from . import graphs, limits, moments, percolation, validate, zeta
 
 __all__ = ["main"]
 
@@ -49,7 +42,7 @@ def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "argv": args.argv,
         "command": args.command,
-        "stream": STREAM,
+        "stream": percolation.STREAM,
     }
     with open(out_path + ".meta.json", "w", encoding="ascii") as fh:
         fh.write(_json(meta, indent=1))
@@ -106,8 +99,10 @@ def _cmd_sample(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.hist_bins < 0:
         raise ValueError(f"--hist-bins must be >= 0 (0 writes no histogram), got {args.hist_bins}")
+    from . import montecarlo, spectra
+
     profile = percolation.Profile.from_name(args.profile, args.amplitude)
-    _, summary = sample_spectrum(args.n, args.radius, profile, args.v, args.seed)
+    _, summary = montecarlo.sample_spectrum(args.n, args.radius, profile, args.v, args.seed)
     _emit(_csv(enumerate(summary.eigenvalues), ["index", "lambda"]), args.out, args)
     if args.hist_bins:
         left, right, dens = spectra.histogram_density(summary, bins=args.hist_bins)
@@ -139,10 +134,12 @@ def _cmd_moments(args) -> int:
         )
         _emit(_csv(rows, ["k", "m_k", "ell_k", "mu_k"]), args.out, args)
         return 0
-    result = run_ensemble(args.n, args.radius, profile, v, args.seed, args.trials, k_max)
+    from . import montecarlo
+
+    result = montecarlo.run_ensemble(args.n, args.radius, profile, v, args.seed, args.trials, k_max)
     rows = [
         (r.k, r.mean, r.stderr, r.theory, r.abs_diff, r.z_score)
-        for r in moment_comparison(result)
+        for r in montecarlo.moment_comparison(result)
     ]
     header = ["k", "mean", "stderr", "theory_m_k", "abs_diff", "z_score"]
     _emit(_csv(rows, header), args.out, args)
@@ -150,10 +147,12 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    from . import montecarlo
+
     trials = args.trials
     if len(trials) == 1:
         trials = trials * len(args.n_sweep)
-    points = convergence_sweep(
+    points = montecarlo.convergence_sweep(
         args.n_sweep,
         args.gamma,
         percolation.Profile.from_name(args.profile, args.amplitude),
@@ -173,17 +172,18 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_logdet(args) -> int:
+    from . import montecarlo, spectra
+
     n, trials = args.n, args.trials
     if trials < 2:
         raise ValueError("the log-det mean needs --trials >= 2")
     profile = percolation.Profile.from_name(args.profile, args.amplitude)
     v, phi1 = args.v, profile.phi1
     limit = limits.log_det_limit(v, phi1)
+    seeds = (montecarlo.trial_seed(args.seed, n, t) for t in range(trials))
     values = np.array([
-        spectra.log_det_density(
-            sample_spectrum(n, args.radius, profile, v, trial_seed(args.seed, n, t))[1]
-        )
-        for t in range(trials)
+        spectra.log_det_density(montecarlo.sample_spectrum(n, args.radius, profile, v, seed)[1])
+        for seed in seeds
     ])
     mean = values.mean()
     stderr = values.std(ddof=1) / np.sqrt(trials)
@@ -194,26 +194,34 @@ def _cmd_logdet(args) -> int:
     return 0
 
 
-def _parse_graph(spec: str) -> np.ndarray:
+def _parse_graph(spec: str):
+    """The vertex count of a graph spec and a call that builds its adjacency.
+    Nothing n x n is built here, so a spec beyond the budget can be refused
+    first."""
     if spec.startswith("file:"):
-        return graphs.read_edge_list(spec[5:])
-    if spec.startswith("random:"):
-        n, p, seed = spec[7:].split(",")
-        return graphs.random_connected_graph(int(n), float(p), int(seed))
-    kind, num = spec[:1].upper(), spec[1:]
-    if kind == "P":
-        return graphs.path_graph(int(num))
-    if kind == "C":
-        return graphs.cycle_graph(int(num))
-    if kind == "K":
-        return graphs.complete_graph(int(num))
-    raise ValueError(f"cannot parse graph spec {spec!r}")
+        n, edges = graphs.read_edge_list(spec[5:])
+        return n, lambda: graphs.from_edges(n, edges)
+    try:
+        if spec.startswith("random:"):
+            n, p, seed = spec[7:].split(",")
+            build, rest = graphs.random_connected_graph, (float(p), int(seed))
+        else:
+            kinds = {"P": graphs.path_graph, "C": graphs.cycle_graph, "K": graphs.complete_graph}
+            build, n, rest = kinds[spec[:1].upper()], spec[1:], ()
+        n = int(n)
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse graph spec {spec!r}") from None
+    if n < 0:
+        raise ValueError(f"graph spec {spec!r} has a negative vertex count")
+    return n, lambda: build(n, *rest)
 
 
 def _cmd_zeta(args) -> int:
     if args.u is not None and not math.isfinite(args.u):
         raise ValueError(f"--u must be finite, got {args.u}")
-    adj = _parse_graph(args.graph)
+    n, build = _parse_graph(args.graph)
+    zeta._check_vertex_count(n)  # refuse before the n x n array exists
+    adj = build()
     if args.check_order:
         zeta._check_path_budget(adj, args.check_order)  # refuse before the polynomial
     poly = zeta.zeta_reciprocal_polynomial(adj)
@@ -259,7 +267,7 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = run_validation()
+    report = validate.run_validation()
     _emit(_json(report, indent=1), args.out, args)
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"

@@ -83,8 +83,9 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> np.ndarray:
     raise ValueError(f"no connected graph found in {MAX_TRIES} tries (p={edge_prob})")
 
 
-def read_edge_list(path) -> np.ndarray:
-    """Graph from 'x y' lines; vertices are relabeled to 0..n-1 preserving order."""
+def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count n and the edges of 'x y' lines, relabeled to 0..n-1
+    preserving order; from_edges(n, edges) builds the graph."""
     pairs = []
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
@@ -95,7 +96,7 @@ def read_edge_list(path) -> np.ndarray:
             pairs.append((int(a), int(b)))
     labels = sorted({x for pair in pairs for x in pair})
     index = {lab: i for i, lab in enumerate(labels)}
-    return from_edges(len(labels), [(index[a], index[b]) for a, b in pairs])
+    return len(labels), [(index[a], index[b]) for a, b in pairs]
 
 
 def zeta_corpus() -> list[tuple[str, np.ndarray]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -152,6 +153,8 @@ def log_det_limit(v: float, phi1: float) -> float:
     E/N tends to phi1/2, and the zeta term vanishes in the limit for |v| < 1.
     """
     _check_v(v)
+    if 0.0 < v * v < sys.float_info.min:
+        raise ValueError(f"v = {v:g}: v^2 = {v * v:.3g} is subnormal, so the limit loses digits")
     if v * v >= phi1:
         # H has the eigenvalue 0 at any isolated vertex, so a shift
         # 1 - v^2/phi1 <= 0 puts the sampled log-det at a crossing

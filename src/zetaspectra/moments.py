@@ -27,6 +27,7 @@ KeyError, and extended_binomial refuses an out-of-pattern call outright.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -81,10 +82,13 @@ def _binomial_rows(k_max: int) -> dict[int, dict[int, int]]:
 
 
 def _edge_scales(k_max: int, v: float, phi1: float) -> list[float]:
-    """scales[e] = v^(2e)/phi1^(e-1) for 0 <= e <= k_max; a non-finite v is refused."""
+    """scales[e] = v^(2e)/phi1^(e-1) for 0 <= e <= k_max; a non-finite v and
+    a subnormal v^2 (0 < |v| below ~1.5e-154) are refused."""
     if not math.isfinite(v):
         raise ValueError(f"v must be finite, got {v}")
     v2 = v * v
+    if 0.0 < v2 < sys.float_info.min:
+        raise ValueError(f"v = {v:g}: v^2 = {v2:.3g} is subnormal, so the edge scales lose digits")
     try:
         return [v2**e / phi1 ** (e - 1) for e in range(k_max + 1)]
     except OverflowError:

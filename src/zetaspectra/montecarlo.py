@@ -5,7 +5,8 @@ Trial t of an experiment at half-width n draws from its own stream,
 seed names the experiment, so ensembles with different base seeds, and the
 sizes of one sweep, share no trial graph.  Trials are pure functions of
 (n, radius, profile, v, seed, t), so runs are reproducible, and results are
-reduced in trial-index order.
+reduced in trial-index order.  The stream version that covers this keying
+and the sampler's draw order is `percolation.STREAM`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .spectra import (
 )
 
 __all__ = [
-    "STREAM",
     "trial_seed",
     "EnsembleResult",
     "sample_spectrum",
@@ -36,11 +36,6 @@ __all__ = [
     "SweepPoint",
     "convergence_sweep",
 ]
-
-
-# Version of the random stream: the draw order of `sample_adjacency` (per-offset
-# counts, then distinct positions) together with the trial keying below.
-STREAM = 2
 
 
 def trial_seed(seed: int, n: int, t: int) -> np.random.SeedSequence:

@@ -7,24 +7,28 @@ the one home of that law and of its refusals; the sampler and the exact
 finite-size moments both read it.  A sample is its edge array, drawn in
 O(N + edges) diagonal by diagonal (a binomial edge count per offset, then
 that many distinct positions); the dense 0/1 matrix is built only on
-request (`entries`, for tests and the benchmark).  From the edges we build
+request (`entries`, for tests and the benchmark).  STREAM versions the
+sampler's draw order; every sidecar records it.  From the edges we build
 the degree vector and, in O(N + edges), the sparse symmetric matrix
 
     H = (v^2/phi1) * diag(degrees) - (v/sqrt(phi1)) * A,
 
-whose spectrum is the object of study downstream.
+whose spectrum is the object of study downstream.  The two matrix builders,
+`AdjacencySample.adjacency` and `build_h`, import scipy.sparse when called,
+so the commands that build no matrix start with numpy alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 __all__ = [
+    "STREAM",
     "ProfileFamily",
     "Profile",
     "AdjacencySample",
@@ -34,6 +38,10 @@ __all__ = [
     "circuit_rank_term",
     "format_edge_list",
 ]
+
+# Version of the random stream: the draw order of `sample_adjacency` (per-offset
+# counts, then distinct positions) together with montecarlo's trial keying.
+STREAM = 2
 
 
 class ProfileFamily(enum.Enum):
@@ -126,8 +134,10 @@ class AdjacencySample:
         entries[i, j] = entries[j, i] = 1
         return entries
 
-    def adjacency(self) -> coo_matrix:
-        """The symmetric adjacency as a sparse 0/1 matrix, two entries per edge."""
+    def adjacency(self):
+        """The symmetric adjacency as a sparse 0/1 COO matrix, two entries per edge."""
+        from scipy.sparse import coo_matrix
+
         ends = np.hstack((self.edges, self.edges[::-1]))
         ones = np.ones(ends.shape[1], dtype=np.int8)
         return coo_matrix((ones, tuple(ends)), shape=(self.n_vertices,) * 2)
@@ -175,17 +185,22 @@ def sample_adjacency(
     return AdjacencySample(n=n, edges=edges)
 
 
-def build_h(entries, degrees: np.ndarray, v: float, phi1: float) -> csr_matrix:
+def build_h(entries, degrees: np.ndarray, v: float, phi1: float):
     """Assemble (v^2/phi1) diag(degrees) - (v/sqrt(phi1)) A as a float64 CSR
     matrix from the 0/1 adjacency A, a dense array or a scipy sparse matrix,
     in O(N + edges) for a sparse A.  Zero values are not stored, and a scale
-    that is not finite is refused (v^2 overflows from |v| ~ 1e154).
+    that is not finite is refused (v^2 overflows from |v| ~ 1e154), and so
+    is a subnormal v^2 (0 < |v| below ~1.5e-154).
     """
+    from scipy.sparse import csr_matrix, issparse
+
     if phi1 <= 0.0:
         raise ValueError(f"phi1 must be positive, got {phi1}")
     diagonal_scale, edge_scale = v * v / phi1, v / math.sqrt(phi1)
     if not (math.isfinite(diagonal_scale) and math.isfinite(edge_scale)):
         raise ValueError(f"v = {v:g}: the scale v^2/phi1 of H is not finite (phi1 = {phi1:g})")
+    if 0.0 < v * v < sys.float_info.min:
+        raise ValueError(f"v = {v:g}: v^2 = {v * v:.3g} is subnormal, so H would lose its digits")
     if issparse(entries):
         rows, cols = entries.nonzero()
     else:  # a flat scan of a boolean array is far faster than np.nonzero in 2-D

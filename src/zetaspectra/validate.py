@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from . import graphs, limits, moments, percolation, spectra, walks, zeta
+from . import graphs, limits, moments, percolation, walks, zeta
 
 __all__ = ["CheckResult", "run_validation", "VALIDATION_GRID"]
 
@@ -194,7 +194,10 @@ def check_zeta_bridge() -> CheckResult:
     prefactor term and the sparse LDLᵀ log-det of H (phi1 = 1, so v = u)
     against log(poly(u)) / N, with poly the exact reciprocal polynomial that
     check_zeta_series proves against the path-count series.  A wrong
-    coefficient or a wrong factorisation shows here."""
+    coefficient or a wrong factorisation shows here.  This check alone
+    reads spectra, so it alone imports it (and scipy with it)."""
+    from . import spectra
+
     worst = 0.0
     for name, adj in graphs.zeta_corpus():
         degrees = adj.sum(axis=1)

@@ -77,12 +77,20 @@ class ReciprocalZeta:
         return out
 
 
+def _check_vertex_count(
+    n: int, limit: int = MAX_EXACT_VERTICES, budget: str = "exact-polynomial"
+) -> None:
+    """Refuse n vertices beyond a budget, by default the exact polynomial's;
+    the CLI calls it on a graph spec before building its n x n array."""
+    if n > limit:
+        raise ValueError(f"graph too large for the {budget} budget ({n} > {limit})")
+
+
 def _validate_small_graph(adj: np.ndarray, limit: int, budget: str) -> np.ndarray:
     adj = np.asarray(adj)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    if adj.shape[0] > limit:
-        raise ValueError(f"graph too large for the {budget} budget ({adj.shape[0]} > {limit})")
+    _check_vertex_count(adj.shape[0], limit, budget)
     if np.any(adj != adj.T):
         raise ValueError("adjacency matrix must be symmetric")
     if np.any(np.diag(adj) != 0):

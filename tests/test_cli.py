@@ -14,8 +14,8 @@ import pytest
 
 from zetaspectra import cli, limits, moments, validate, zeta
 from zetaspectra.cli import main
-from zetaspectra.montecarlo import STREAM, sample_spectrum, trial_seed
-from zetaspectra.percolation import Profile
+from zetaspectra.montecarlo import sample_spectrum, trial_seed
+from zetaspectra.percolation import STREAM, Profile
 from zetaspectra.spectra import log_det_density
 
 
@@ -144,6 +144,18 @@ BAD_VALUES = [
     (["sample", "--n", "3", "--out", "no/such/dir/edges.txt"], "No such file or directory"),
     (["zeta", "--graph", "random:3,1.5,1"], "edge probability must lie in [0, 1], got 1.5"),
     (["zeta", "--graph", "random:3,nan,1"], "edge probability must lie in [0, 1], got nan"),
+    # a malformed spec is named, not reported as the conversion that failed on it
+    (["zeta", "--graph", "P"], "cannot parse graph spec 'P'"),
+    (["zeta", "--graph", "random:3,0.5"], "cannot parse graph spec 'random:3,0.5'"),
+    (["zeta", "--graph", "random:2.5,0.5,1"], "cannot parse graph spec 'random:2.5,0.5,1'"),
+    (["zeta", "--graph", "K-1"], "graph spec 'K-1' has a negative vertex count"),
+    # between |v| ~ 2.2e-162 and ~1.5e-154, v^2 is subnormal: each route that
+    # scales by it refuses it, the sampled ones where they build H
+    (["moments", "--theory", "--kmax", "4", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
+    (["moments", "--n", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
+    (["converge", "--n-sweep", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
+    (["spectrum", "--n", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
+    (["logdet", "--n", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
 ]
 
 
@@ -503,6 +515,21 @@ class TestZeta:
         assert main(["zeta", "--graph", graph, "--check-order", order]) == 2
         assert calls == []
 
+    @pytest.mark.parametrize("spec", ["K13", "P13", "C13", "random:13,0.5,1", "file"])
+    def test_spec_beyond_budget_builds_nothing(self, spec, tmp_path, monkeypatch, capsys):
+        # the vertex count is refused before any n x n array is built
+        calls = []
+        builders = ("path_graph", "cycle_graph", "complete_graph", "random_connected_graph", "from_edges")
+        for name in builders:
+            monkeypatch.setattr(cli.graphs, name, lambda *args, name=name: calls.append(name))
+        if spec == "file":
+            edges = tmp_path / "edges.txt"
+            edges.write_text("".join(f"{i} {i + 1}\n" for i in range(12)))
+            spec = f"file:{edges}"
+        assert main(["zeta", "--graph", spec]) == 2
+        assert "exact-polynomial budget (13 > 12)" in capsys.readouterr().err
+        assert calls == []
+
     def test_series_check_exit_code(self):
         assert main(["zeta", "--graph", "K4", "--check-order", "8", "--out", ""]) == 0
 
@@ -556,6 +583,47 @@ class TestLimits:
             assert entry["z_im"] * entry["g_im"] >= 0.0
 
 
+def _fresh_process_output(script: str, cwd):
+    """The JSON last line that script prints in a new interpreter that
+    imports the package from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    None,  # the package alone
+    ["zeta", "--graph", "K4", "--check-order", "6"],
+    ["limits", "--what", "fgrid"],
+    ["limits", "--what", "density"],
+    ["limits", "--what", "stieltjes"],
+    ["moments", "--theory"],
+    ["moments", "--bounds"],
+    ["sample"],
+], ids=lambda argv: " ".join(argv or ["import"]))
+def test_commands_without_a_matrix_load_no_scipy(argv, tmp_path):
+    # only the layers that build or factor a matrix import scipy, and the
+    # package itself loads none of its modules
+    script = (
+        "import json, sys\n"
+        "import zetaspectra\n"
+        f"argv = {argv!r}\n"
+        "if argv:\n"
+        "    from zetaspectra.cli import main\n"
+        "    assert main(argv + ['--out', 'out.txt']) == 0\n"
+        "unwanted = ('scipy',) if argv else ('scipy', 'zetaspectra.')\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith(unwanted)]))\n"
+    )
+    assert _fresh_process_output(script, tmp_path) == []
+
+
 class TestValidate:
     def test_fresh_build_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -575,16 +643,7 @@ class TestValidate:
             "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'mpmath')\n"
             "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env=env,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert _fresh_process_output(script, tmp_path) == []
 
     def test_injected_binomial_fault_is_caught(self, monkeypatch, capsys):
         # perturbing the degenerate row of the extended binomial silently

@@ -325,6 +325,7 @@ class TestLogDetLimit:
         (-1.0, 4.0, "|v| < 1"),
         (math.nan, 1.0, "finite"),
         (math.inf, 1.0, "finite"),
+        (1e-160, 1.0, "v^2 = 1e-320 is subnormal"),  # so logdet refuses it before any trial
     ])
     def test_refusals(self, v, phi1, reason):
         with pytest.raises(ValueError, match=re.escape(reason)):

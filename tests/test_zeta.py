@@ -57,7 +57,7 @@ class TestGraphs:
         entries = sample_adjacency(6, 2.0, gauss_profile, seed=9).entries
         touched = entries.sum(axis=1) > 0
         assert touched.sum() >= 2
-        assert np.array_equal(read_edge_list(path), entries[np.ix_(touched, touched)])
+        assert np.array_equal(from_edges(*read_edge_list(path)), entries[np.ix_(touched, touched)])
 
     def test_corpus_contents(self):
         names = [name for name, _ in zeta_corpus()]
