@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,12 +21,15 @@ __all__ = ["main"]
 
 def _fmt(x) -> str:
     """One table cell: an integer as is, a float to 15 significant digits;
-    a NaN or an infinity is refused, not written."""
+    a NaN, an infinity or a subnormal value (which has lost digits to
+    underflow) is refused, not written."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     value = float(x)
     if not math.isfinite(value):
         raise ValueError(f"the output holds a value CSV cannot carry ({value})")
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise ValueError(f"the output holds a subnormal value ({value:.15g}), short of 15 digits")
     return f"{value:.15g}"
 
 
@@ -69,7 +73,7 @@ def _csv(rows, header) -> str:
 _FLAGS = {
     "--n": dict(type=int, default=50, help="half-width; N = 2n+1 vertices"),
     "--R": dict(dest="radius", type=float, default=4.0, help="interaction radius >= 1"),
-    "--profile": dict(choices=["exp", "gauss", "lorentz"], default="gauss", help="profile family"),
+    "--profile": dict(choices=percolation.FAMILIES, default="gauss", help="profile family"),
     "--a": dict(dest="amplitude", type=float, default=0.5, help="profile amplitude in (0,1)"),
     "--v": dict(type=float, default=1.0, help="spectral parameter"),
     "--seed": dict(type=int, default=0, help="base seed"),
@@ -99,14 +103,14 @@ def _cmd_sample(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.hist_bins < 0:
         raise ValueError(f"--hist-bins must be >= 0 (0 writes no histogram), got {args.hist_bins}")
-    from . import montecarlo, spectra
+    from . import montecarlo
 
     profile = percolation.Profile.from_name(args.profile, args.amplitude)
     _, summary = montecarlo.sample_spectrum(args.n, args.radius, profile, args.v, args.seed)
     _emit(_csv(enumerate(summary.eigenvalues), ["index", "lambda"]), args.out, args)
     if args.hist_bins:
-        left, right, dens = spectra.histogram_density(summary, bins=args.hist_bins)
-        hist_text = _csv(zip(left, right, dens), ["bin_left", "bin_right", "density"])
+        dens, edges = np.histogram(summary.eigenvalues, bins=args.hist_bins, density=True)
+        hist_text = _csv(zip(edges[:-1], edges[1:], dens), ["bin_left", "bin_right", "density"])
         _emit(hist_text, (args.out or "spectrum") + ".hist.csv", args)
     return 0
 
@@ -116,11 +120,11 @@ def _cmd_moments(args) -> int:
     v, phi1, k_max = args.v, profile.phi1, args.k_max
     if args.bounds:
         # the tree report first: its order check names k_max
-        tree = moments.tree_bound_report(k_max, v, phi1).as_dict()
+        tree = asdict(moments.tree_bound_report(k_max, v, phi1))
         payload = {
             "v": v,
             "phi1": phi1,
-            "adjacency": moments.adjacency_bound_report(k_max, v, phi1).as_dict(),
+            "adjacency": asdict(moments.adjacency_bound_report(k_max, v, phi1)),
             "tree": tree,
         }
         _emit(_json(payload, indent=1), args.out, args)

@@ -8,7 +8,6 @@ __all__ = [
     "path_graph",
     "cycle_graph",
     "complete_graph",
-    "empty_graph",
     "random_connected_graph",
     "from_edges",
     "read_edge_list",
@@ -19,12 +18,8 @@ __all__ = [
 MAX_TRIES = 1000  # draws random_connected_graph makes before it refuses
 
 
-def empty_graph(n: int) -> np.ndarray:
-    return np.zeros((n, n), dtype=np.int64)
-
-
 def from_edges(n: int, edges) -> np.ndarray:
-    adj = empty_graph(n)
+    adj = np.zeros((n, n), dtype=np.int64)
     for a, b in edges:
         if a == b:
             raise ValueError(f"loop at vertex {a} not allowed")
@@ -85,15 +80,22 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> np.ndarray:
 
 def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count n and the edges of 'x y' lines, relabeled to 0..n-1
-    preserving order; from_edges(n, edges) builds the graph."""
+    preserving order; from_edges(n, edges) builds the graph.  A line that is
+    not two integer labels, or a loop, is refused as path:lineno with its
+    text, in the file's own labels."""
     pairs = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b = line.split()
-            pairs.append((int(a), int(b)))
+            try:
+                a, b = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected two integer labels 'x y', got {line!r}") from None
+            if a == b:
+                raise ValueError(f"{path}:{lineno}: loop at vertex {a} not allowed, got {line!r}")
+            pairs.append((a, b))
     labels = sorted({x for pair in pairs for x in pair})
     index = {lab: i for i, lab in enumerate(labels)}
     return len(labels), [(index[a], index[b]) for a, b in pairs]

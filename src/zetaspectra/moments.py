@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -320,9 +320,6 @@ class BoundReport:
     order_max: int
     tightest_ratio: float
     ratios: list[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_bound_order(name: str, order: int) -> None:

@@ -20,7 +20,6 @@ so the commands that build no matrix start with numpy alone.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "STREAM",
-    "ProfileFamily",
+    "FAMILIES",
     "Profile",
     "AdjacencySample",
     "offset_probabilities",
@@ -44,57 +43,46 @@ __all__ = [
 STREAM = 2
 
 
-class ProfileFamily(enum.Enum):
-    """Closed-form-integrable profile shapes, all even and strictly
-    decreasing in |t|, bounded by the amplitude."""
-
-    EXPONENTIAL = "exp"
-    GAUSSIAN = "gauss"
-    LORENTZIAN = "lorentz"
+# Family name -> (the profile a*shape(t) as a function of (a, t), the
+# integral of the shape).  Every shape is even and strictly decreasing in |t|,
+# with shape(0) = 1, so the profile is bounded by its amplitude.
+_FAMILIES = {
+    "exp": (lambda a, t: a * np.exp(-np.abs(t)), 2.0),
+    "gauss": (lambda a, t: a * np.exp(-t * t), math.sqrt(math.pi)),
+    "lorentz": (lambda a, t: a / (1.0 + t * t), math.pi),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
 class Profile:
-    """An edge-probability profile a*shape(t) with amplitude a in (0, 1).
+    """An edge-probability profile a*shape(t) of a family in FAMILIES, with
+    amplitude a in (0, 1).
 
     The mean-degree constant phi1 is the exact integral of the profile:
-    2a (exponential), a*sqrt(pi) (gaussian), a*pi (lorentzian).
+    2a (exp), a*sqrt(pi) (gauss), a*pi (lorentz).
     """
 
-    family: ProfileFamily
+    family: str
     amplitude: float
 
     def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown profile family {self.family!r}")
         if not 0.0 < self.amplitude < 1.0:
             raise ValueError(f"amplitude must lie in (0, 1), got {self.amplitude}")
 
     @classmethod
     def from_name(cls, name: str, amplitude: float) -> "Profile":
-        try:
-            family = ProfileFamily(name)
-        except ValueError:
-            raise ValueError(f"unknown profile family {name!r}") from None
-        return cls(family, amplitude)
+        return cls(name, amplitude)
 
     @property
     def phi1(self) -> float:
-        a = self.amplitude
-        if self.family is ProfileFamily.EXPONENTIAL:
-            return 2.0 * a
-        if self.family is ProfileFamily.GAUSSIAN:
-            return a * math.sqrt(math.pi)
-        return a * math.pi
+        return self.amplitude * _FAMILIES[self.family][1]
 
     def phi(self, t):
         """Profile value; accepts scalars or numpy arrays."""
-        a = self.amplitude
-        t = np.asarray(t, dtype=float)
-        if self.family is ProfileFamily.EXPONENTIAL:
-            out = a * np.exp(-np.abs(t))
-        elif self.family is ProfileFamily.GAUSSIAN:
-            out = a * np.exp(-t * t)
-        else:
-            out = a / (1.0 + t * t)
+        out = _FAMILIES[self.family][0](self.amplitude, np.asarray(t, dtype=float))
         return out if out.ndim else float(out)
 
 

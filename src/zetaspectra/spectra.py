@@ -2,9 +2,10 @@
 quantities.
 
 `eigenvalue_summary` checks a sampled H; its spectrum is solved on first
-read (`eigenvalues`, `counting_function`, `histogram_density`), and nothing
-else reads it.  `trace_moments` takes (1/N) tr H^k from sparse powers of H
-by Frobenius identities, with no eigensolve.
+read of `eigenvalues`, which only the `spectrum` command makes (its
+histogram is `np.histogram` of the eigenvalues).  `trace_moments` takes
+(1/N) tr H^k from sparse powers of H by Frobenius identities, with no
+eigensolve.
 
 H is block-diagonal under a permutation: each connected component
 of its nonzero pattern is one block.  The solve scatters the nonzeros straight
@@ -45,12 +46,10 @@ from .percolation import circuit_rank_term
 __all__ = [
     "SpectralSummary",
     "eigenvalue_summary",
-    "counting_function",
     "trace_moments",
     "log_det_density",
     "log_prefactor_density",
     "neg_log_zeta_density",
-    "histogram_density",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -134,12 +133,6 @@ def eigenvalue_summary(h, v: float, phi1: float) -> SpectralSummary:
     return SpectralSummary(h=h, v=v, phi1=phi1)
 
 
-def counting_function(summary: SpectralSummary, lam: float) -> float:
-    """Normalized eigenvalue counting function: fraction of spectrum <= lam."""
-    eigs = summary.eigenvalues
-    return float(np.searchsorted(eigs, lam, side="right")) / eigs.shape[0]
-
-
 def trace_moments(summary: SpectralSummary, k_max: int) -> np.ndarray:
     """The moments (1/N) tr H^k, k = 0..k_max, from sparse powers of H.
 
@@ -207,12 +200,3 @@ def neg_log_zeta_density(degrees: np.ndarray, summary: SpectralSummary) -> float
     """-(1/N) log Z at u = v/sqrt(phi1), from degrees and the spectrum."""
     u = summary.v / math.sqrt(summary.phi1)
     return log_prefactor_density(degrees, u) + log_det_density(summary)
-
-
-def histogram_density(summary: SpectralSummary, bins: int = 60):
-    """Histogram of the spectrum normalized to unit mass.
-
-    Returns (bin_left, bin_right, density) arrays ready for CSV export.
-    """
-    counts, edges = np.histogram(summary.eigenvalues, bins=bins, density=True)
-    return edges[:-1], edges[1:], counts

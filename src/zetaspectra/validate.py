@@ -11,7 +11,7 @@ into any single route is caught by its counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -28,9 +28,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def _gap(value: float, reference: float) -> float:
@@ -317,5 +314,5 @@ def run_validation() -> dict:
             results.append(CheckResult(check.__name__, False, f"raised {exc!r}"))
     return {
         "all_passed": all(r.passed for r in results),
-        "checks": [r.as_dict() for r in results],
+        "checks": [asdict(r) for r in results],
     }

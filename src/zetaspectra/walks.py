@@ -38,7 +38,6 @@ from functools import lru_cache
 
 __all__ = [
     "Walk",
-    "WalkBudgetError",
     "enumerate_tree_walks",
     "walk_profile",
     "oracle_tree_weight",
@@ -46,10 +45,6 @@ __all__ = [
 ]
 
 MAX_STEPS = 8
-
-
-class WalkBudgetError(ValueError):
-    """Enumeration request outside 1..MAX_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class Walk:
 
 def _check_budget(k: int) -> None:
     if not 1 <= k <= MAX_STEPS:
-        raise WalkBudgetError(f"k={k} outside enumeration budget 1..{MAX_STEPS}")
+        raise ValueError(f"k={k} outside enumeration budget 1..{MAX_STEPS}")
 
 
 def enumerate_tree_walks(k: int) -> list[Walk]:

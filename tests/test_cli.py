@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zetaspectra
 from zetaspectra import cli, limits, moments, validate, zeta
 from zetaspectra.cli import main
 from zetaspectra.montecarlo import sample_spectrum, trial_seed
@@ -156,6 +159,10 @@ BAD_VALUES = [
     (["converge", "--n-sweep", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
     (["spectrum", "--n", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
     (["logdet", "--n", "3", "--v", "1e-160"], "v^2 = 1e-320 is subnormal"),
+    # v^2 is normal, but a higher moment underflows: the CSV writer refuses it
+    (["moments", "--theory", "--kmax", "4", "--v", "1e-80"],
+     "a subnormal value (6.38530440685227e-320)"),
+    (["moments", "--theory", "--kmax", "16", "--v", "1e-20"], "a subnormal value"),
 ]
 
 
@@ -355,6 +362,10 @@ class TestSpectrum:
         assert len(lines) == 42
         hist = (tmp_path / "spec.csv.hist.csv").read_text().strip().splitlines()
         assert hist[0] == "bin_left,bin_right,density"
+        bins = np.array([row.split(",") for row in hist[1:]], dtype=float)
+        assert len(bins) == 10
+        mass = float(np.sum(bins[:, 2] * (bins[:, 1] - bins[:, 0])))
+        assert mass == pytest.approx(1.0, rel=1e-9)  # a density of unit mass
         assert main(args) == 0
         assert out.read_text().strip().splitlines() == lines  # byte-stable
 
@@ -394,6 +405,13 @@ class TestMoments:
         assert float(row1[1]) == pytest.approx(1.0)  # m_1 = v^2
         assert float(row1[2]) == pytest.approx(0.0)  # odd adjacency moment
         assert float(row1[3]) == pytest.approx(1.0)  # mu_1 = v^2
+
+    def test_small_v_writes_no_subnormal(self, tmp_path):
+        # at v = 1e-10 the smallest nonzero moment, mu_16 ~ 1e-157, stays normal
+        out = tmp_path / "theory.csv"
+        assert main(["moments", "--theory", "--kmax", "16", "--v", "1e-10", "--out", str(out)]) == 0
+        values = np.array([line.split(",")[1:] for line in out.read_text().splitlines()[1:]], dtype=float)
+        assert len(values) == 17 and np.all(values[values != 0.0] >= sys.float_info.min)
 
     def test_empirical_table(self, tmp_path):
         out = tmp_path / "emp.csv"
@@ -544,6 +562,17 @@ class TestZeta:
         for spec in ("P4", "K4", "random:6,0.5,3"):
             assert main(["zeta", "--graph", spec, "--out", str(tmp_path / "g.json")]) == 0
 
+    @pytest.mark.parametrize("lines,line,reason", [
+        ("0 1\n1 2 3\n", 2, "expected two integer labels 'x y', got '1 2 3'"),
+        ("# a comment\n\n1 x\n", 3, "expected two integer labels 'x y', got '1 x'"),
+        ("4 5\n5 5\n", 2, "loop at vertex 5 not allowed"),  # the file's label, not the index
+    ])
+    def test_bad_file_line_is_named(self, lines, line, reason, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(lines)
+        assert main(["zeta", "--graph", f"file:{edges}"]) == 2
+        assert f"zetaspectra zeta: error: {edges}:{line}: {reason}" in capsys.readouterr().err
+
     def test_file_graph(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n2 0\n")
@@ -622,6 +651,13 @@ def test_commands_without_a_matrix_load_no_scipy(argv, tmp_path):
         "print(json.dumps([m for m in sys.modules if m.startswith(unwanted)]))\n"
     )
     assert _fresh_process_output(script, tmp_path) == []
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(zetaspectra.__path__)])
+def test_every_public_name_resolves(module):
+    # a name removed from a module leaves its __all__ too
+    layer = importlib.import_module(f"zetaspectra.{module}")
+    assert [name for name in layer.__all__ if not hasattr(layer, name)] == []
 
 
 class TestValidate:

@@ -366,10 +366,6 @@ class TestBounds:
         assert report.passed and report.constant == 2.0
         assert report.ratios == [pytest.approx(0.5, rel=1e-15)]
 
-    def test_tree_bound_passes(self):
-        report = tree_bound_report(8, 1.0, 2.0)
-        assert report.passed
-
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("table", [
         tree_weight_table, tree_weight_split, adjacency_weight_table, limit_moments,

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from zetaspectra import cli
+from zetaspectra import cli, percolation
 from zetaspectra.percolation import (
     Profile,
-    ProfileFamily,
     build_h,
     circuit_rank_term,
     format_edge_list,
@@ -41,7 +40,20 @@ def test_profile_shape(family):
 @pytest.mark.parametrize("amplitude", [0.0, 1.0, -0.2, 1.5])
 def test_bad_amplitude_rejected(amplitude):
     with pytest.raises(ValueError):
-        Profile(ProfileFamily.GAUSSIAN, amplitude)
+        Profile("gauss", amplitude)
+
+
+def test_family_table(capsys):
+    # one table names the families, and --profile offers exactly those
+    assert percolation.FAMILIES == tuple(FAMILIES)
+    for family in FAMILIES:
+        assert cli.build_parser().parse_args(["sample", "--profile", family]).profile == family
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["sample", "--profile", "cauchy"])
+    assert "invalid choice" in capsys.readouterr().err
+    for make in (Profile, Profile.from_name):
+        with pytest.raises(ValueError, match="unknown profile family 'cauchy'"):
+            make("cauchy", 0.5)
 
 
 def test_offset_probabilities_value():

@@ -9,9 +9,7 @@ from zetaspectra import spectra
 from zetaspectra.graphs import cycle_graph
 from zetaspectra.percolation import AdjacencySample, Profile, build_h, sample_adjacency
 from zetaspectra.spectra import (
-    counting_function,
     eigenvalue_summary,
-    histogram_density,
     log_det_density,
     log_prefactor_density,
     neg_log_zeta_density,
@@ -128,26 +126,6 @@ class TestBlockRouteAgainstDense:
         assert np.array_equal(eigenvalue_summary(np.array([[2.5]]), 1.0, 1.0).eigenvalues, [2.5])
         empty = eigenvalue_summary(np.zeros((0, 0)), 1.0, 1.0)
         assert empty.size == 0 and empty.eigenvalues.size == 0
-
-
-class TestCountingFunction:
-    def test_endpoints(self):
-        s = summary_from_eigs([-1.0, 0.0, 2.0])
-        assert counting_function(s, -1.5) == 0.0
-        assert counting_function(s, 2.0) == 1.0
-        assert counting_function(s, 5.0) == 1.0
-
-    def test_padded_single_edge(self):
-        n = 10
-        s = summary_from_eigs([0.0] * (n - 1) + [2.0])
-        assert counting_function(s, 1.0) == pytest.approx((n - 1) / n)
-
-    def test_is_a_cdf(self, rng):
-        s = summary_from_eigs(rng.standard_normal(50))
-        grid = np.linspace(-4, 4, 100)
-        vals = [counting_function(s, x) for x in grid]
-        assert vals == sorted(vals)
-        assert vals[0] >= 0.0 and vals[-1] <= 1.0
 
 
 def sampled_h(family, amplitude, n, radius, v, seed):
@@ -332,7 +310,9 @@ class TestNegLogZetaDensity:
 
 
 def test_histogram_density_normalized(rng):
+    # the spectrum command's histogram: np.histogram of every eigenvalue, as a density
     s = summary_from_eigs(rng.standard_normal(500))
-    left, right, dens = histogram_density(s, bins=40)
-    mass = float(np.sum(dens * (right - left)))
+    dens, edges = np.histogram(s.eigenvalues, bins=40, density=True)
+    assert s.eigenvalues.size == 500
+    mass = float(np.sum(dens * np.diff(edges)))
     assert mass == pytest.approx(1.0, rel=1e-9)

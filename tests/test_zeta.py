@@ -10,7 +10,6 @@ from zetaspectra import cli, zeta
 from zetaspectra.graphs import (
     complete_graph,
     cycle_graph,
-    empty_graph,
     from_edges,
     is_connected,
     path_graph,
@@ -133,7 +132,7 @@ class TestExactPolynomial:
         assert poly.coefficients == (1, 0, 0, -2, 0, 0, 1)  # (1 - u^3)^2
 
     def test_edgeless_graph(self):
-        poly = zeta_reciprocal_polynomial(empty_graph(5))
+        poly = zeta_reciprocal_polynomial(from_edges(5, []))
         assert poly.coefficients == (1,)
 
     def test_tree_polynomial_is_one(self):
@@ -169,13 +168,6 @@ class TestClosedPaths:
         for n in (2, 3, 4, 5):
             for k in range(1, 9):
                 assert count_closed_paths(path_graph(n), k) == 0
-
-    def test_triangle_counts(self):
-        c3 = cycle_graph(3)
-        assert count_closed_paths(c3, 3) == 6
-        assert count_closed_paths(c3, 4) == 0
-        assert count_closed_paths(c3, 5) == 0
-        assert count_closed_paths(c3, 6) == 6
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_cycle_winding_counts(self, n):
@@ -257,15 +249,6 @@ def series_gap(adj, order):
 
 
 class TestSeriesConsistency:
-    def test_triangle_exact(self):
-        assert series_gap(cycle_graph(3), 10) == 0
-
-    def test_tree_exact(self):
-        assert series_gap(path_graph(4), 10) == 0
-
-    def test_complete_graph_exact(self):
-        assert series_gap(complete_graph(4), 8) == 0
-
     def test_full_corpus_exact(self):
         for name, adj in zeta_corpus():
             assert series_gap(adj, 10) == 0, name
@@ -431,14 +414,14 @@ class TestIntegerRoutesMatchTheirOracles:
     # residuals against the Fraction exponential, zero exactly together
 
     @given(simple_graphs(12))
-    @example(empty_graph(0))  # packed value 1
-    @example(empty_graph(1))  # packed value 1 - X^2 < 0
-    @example(empty_graph(7))
+    @example(from_edges(0, []))  # packed value 1
+    @example(from_edges(1, []))  # packed value 1 - X^2 < 0
+    @example(from_edges(7, []))
     @example(path_graph(12))
     @example(_forest([0, 1, 1, 4, 4, 0, 7, 8]))
     @example(_two_triangles_and_an_edge())
     @example(complete_graph(12))  # the largest coefficient bound, 22^12; r - 1 = 54
-    @example(empty_graph(12))  # r - 1 = -12, the most negative
+    @example(from_edges(12, []))  # r - 1 = -12, the most negative
     @example(_triangle_beside(9))  # r - 1 = -9 on a nonconstant determinant
     def test_polynomial_equals_the_polynomial_ring_route(self, adj):
         assert zeta_reciprocal_polynomial(adj).coefficients == polynomial_ring_coefficients(adj)
